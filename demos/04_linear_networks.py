@@ -15,7 +15,7 @@ from halftruth import (
     flip_linear_exact_attack,
     generate,
     linear_exact_attack,
-    linear_hide_gains,
+    linear_gains,
     objective_value,
 )
 from halftruth.simulate import draw_realization, realization_rng
@@ -24,7 +24,7 @@ model = generate(GenSpec("random_linear", n0=12, n1=8, edge_density=0.5, seed=21
 x0 = draw_realization(model, realization_rng(21))
 problem = AttackProblem(model, x0, budget=4, p=1, action="hide")
 
-gains = linear_hide_gains(problem)
+gains = linear_gains(problem)  # keyed by problem.action
 print("realization:", x0)
 print("per-index hide gains:")
 for j, g in enumerate(gains):

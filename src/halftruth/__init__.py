@@ -33,6 +33,7 @@ from .model import (
     validate_model,
 )
 from .inference import (
+    Evaluator,
     disagreement,
     flipped_posterior,
     induced_posterior,
@@ -54,8 +55,7 @@ from .attacks import (
     flip_linear_exact_attack,
     heuristic_attack,
     linear_exact_attack,
-    linear_flip_gains,
-    linear_hide_gains,
+    linear_gains,
     random_mask_baseline,
     solve,
 )

@@ -9,8 +9,8 @@ Provided solvers:
 * :func:`heuristic_attack` -- plain hill climbing on the objective.
 * :func:`combined_attack` -- the better of the two above.
 * :func:`linear_exact_attack` / :func:`flip_linear_exact_attack` -- optimal
-  top-k gain selection for linear transitions at p = 1, where the objective is
-  additive across chosen indices.
+  top-k selection of the :func:`linear_gains` for linear transitions at
+  p = 1, where the objective is additive across chosen indices.
 * :func:`flip_approx_attack` -- the flipping analogue of the per-node greedy.
 * :func:`random_mask_baseline` -- seeded uniform mask, the experiment control.
 
@@ -25,17 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .inference import (
-    disagreement,
-    induced_posterior,
-    lkm_distance,
-    true_posterior,
-    check_norm,
-)
+# induced_posterior is not called here, but stays importable from this module
+# by name: perfbench/selftest.py checks that the tracer patches it here.
+from .inference import Evaluator, check_norm, induced_posterior, true_posterior
 from .model import (
     ADDITIVE,
     FLIP,
@@ -80,6 +76,10 @@ class AttackProblem:
                 )
         object.__setattr__(self, "target", target)
 
+    def evaluator(self) -> Evaluator:
+        """A fresh call-counting objective for this problem's masks."""
+        return Evaluator(self.model, self.x0, self.p, self.action, self.target)
+
 
 @dataclass(frozen=True)
 class AttackResult:
@@ -87,29 +87,6 @@ class AttackResult:
     value: float
     algorithm: str
     evaluations: int
-
-
-class _Evaluator:
-    """Objective evaluation with the per-problem constants hoisted out.
-
-    Counts calls so solvers can report how much work they did.
-    """
-
-    def __init__(self, problem: AttackProblem):
-        self.problem = problem
-        self.calls = 0
-        if problem.target is None:
-            self._ref = true_posterior(problem.model, problem.x0)
-            self._sign = 1.0
-        else:
-            self._ref = np.asarray(problem.target, dtype=float)
-            self._sign = -1.0
-
-    def __call__(self, indices: Iterable[int]) -> float:
-        self.calls += 1
-        mask = Mask(indices, self.problem.action)
-        r = induced_posterior(self.problem.model, self.problem.x0, mask)
-        return self._sign * lkm_distance(disagreement(self._ref, r), self.problem.p)
 
 
 def brute_force_attack(problem: AttackProblem) -> AttackResult:
@@ -127,7 +104,7 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
             "instance_too_large",
             f"{count} candidate masks exceeds the brute-force limit of {BRUTE_FORCE_LIMIT}",
         )
-    evaluate = _Evaluator(problem)
+    evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
     for m in range(1, k + 1):
@@ -169,7 +146,7 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
                 node=i,
             )
         directions.append(direction)
-    evaluate = _Evaluator(problem)
+    evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
     for node, direction in zip(model.nodes, directions):
@@ -199,7 +176,7 @@ def heuristic_attack(problem: AttackProblem) -> AttackResult:
     steps, but the best prefix seen is what gets returned, so the result never
     degrades as the budget grows.
     """
-    evaluate = _Evaluator(problem)
+    evaluate = problem.evaluator()
     n0, k = problem.model.n0, problem.budget
     current: list[int] = []
     best_set: tuple[int, ...] = ()
@@ -252,52 +229,30 @@ def _require_linear(problem: AttackProblem, caller: str) -> None:
             )
 
 
-def _linear_coeffs(problem: AttackProblem) -> np.ndarray:
-    """Per-node objective sensitivity to the induced marginal at p = 1.
+def linear_gains(problem: AttackProblem) -> np.ndarray:
+    """Exact objective change from hiding or flipping each stage-0 index, at p = 1.
 
-    Untargeted, node i contributes q_i + r_i - 2 q_i r_i, so d/dr = 1 - 2 Q_i.
-    Targeted, the (negated) distance to the target gives d/dr = 2 a_i - 1.
+    Acting on index r shifts every child's marginal by ``a_ir * s_r``: hiding
+    swaps the realized value for the prior (``s_r = p_r - x_r``), flipping
+    inverts it (``s_r = 1 - 2 x_r``).  The objective is linear in each
+    marginal, with slope ``1 - 2 q_i`` untargeted and ``2 t_i - 1`` targeted,
+    so the total change does not depend on the rest of the mask and gains
+    simply add across it.
     """
+    _require_linear(problem, "linear_gains")
     model, bits = problem.model, problem.x0
+    if problem.action == HIDE:
+        shift = [prior - x for prior, x in zip(model.priors, bits)]
+    else:
+        shift = [1.0 - 2.0 * x for x in bits]
     if problem.target is None:
-        q = np.array(
-            [sum(a * bits[j] for a, j in zip(n.transition.values, n.parents)) for n in model.nodes]
-        )
-        return 1.0 - 2.0 * q
-    return 2.0 * np.asarray(problem.target, dtype=float) - 1.0
-
-
-def linear_hide_gains(problem: AttackProblem) -> np.ndarray:
-    """Exact objective change from hiding each stage-0 index, at p = 1.
-
-    Hiding index r swaps its realized value for its prior in every child's
-    marginal, shifting it by ``a_ir (p_r - x_r)``; the objective being linear
-    in each marginal makes the total change independent of what else is
-    hidden, so gains simply add across the mask.
-    """
-    _require_linear(problem, "linear_hide_gains")
-    model, bits = problem.model, problem.x0
-    coeff = _linear_coeffs(problem)
+        coeff = 1.0 - 2.0 * true_posterior(model, bits)
+    else:
+        coeff = 2.0 * np.asarray(problem.target, dtype=float) - 1.0
     gains = np.zeros(model.n0)
     for c, node in zip(coeff, model.nodes):
         for a, j in zip(node.transition.values, node.parents):
-            gains[j] += a * (model.priors[j] - bits[j]) * c
-    return gains
-
-
-def linear_flip_gains(problem: AttackProblem) -> np.ndarray:
-    """Exact objective change from flipping each stage-0 index, at p = 1.
-
-    Flipping is deterministic, so the marginal shift is ``a_ir (1 - 2 x_r)``
-    with no prior factor.
-    """
-    _require_linear(problem, "linear_flip_gains")
-    model, bits = problem.model, problem.x0
-    coeff = _linear_coeffs(problem)
-    gains = np.zeros(model.n0)
-    for c, node in zip(coeff, model.nodes):
-        for a, j in zip(node.transition.values, node.parents):
-            gains[j] += a * (1.0 - 2.0 * bits[j]) * c
+            gains[j] += a * shift[j] * c
     return gains
 
 
@@ -307,6 +262,15 @@ def _top_k_positive(gains: np.ndarray, k: int) -> tuple[int, ...]:
     return tuple(sorted(r for r in order[:k] if gains[r] > 0.0))
 
 
+def _linear_exact(problem: AttackProblem, action: str, tag: str) -> AttackResult:
+    _require(problem, action, f"{tag}_attack")
+    gains = linear_gains(problem)
+    chosen = _top_k_positive(gains, problem.budget)
+    evaluate = problem.evaluator()
+    value = evaluate(()) + float(gains[list(chosen)].sum())
+    return AttackResult(Mask(chosen, action), value, tag, evaluate.calls)
+
+
 def linear_exact_attack(problem: AttackProblem) -> AttackResult:
     """Optimal hiding mask for linear transitions at p = 1.
 
@@ -314,22 +278,12 @@ def linear_exact_attack(problem: AttackProblem) -> AttackResult:
     the best mask is just the up-to-k indices with the largest positive gains
     (fewer than k when not enough gains are positive: hiding is optional).
     """
-    _require(problem, HIDE, "linear_exact_attack")
-    gains = linear_hide_gains(problem)
-    chosen = _top_k_positive(gains, problem.budget)
-    evaluate = _Evaluator(problem)
-    value = evaluate(()) + float(gains[list(chosen)].sum())
-    return AttackResult(Mask(chosen, HIDE), value, "linear_exact", evaluate.calls)
+    return _linear_exact(problem, HIDE, "linear_exact")
 
 
 def flip_linear_exact_attack(problem: AttackProblem) -> AttackResult:
     """Optimal flipping mask for linear transitions at p = 1."""
-    _require(problem, FLIP, "flip_linear_exact_attack")
-    gains = linear_flip_gains(problem)
-    chosen = _top_k_positive(gains, problem.budget)
-    evaluate = _Evaluator(problem)
-    value = evaluate(()) + float(gains[list(chosen)].sum())
-    return AttackResult(Mask(chosen, FLIP), value, "flip_linear_exact", evaluate.calls)
+    return _linear_exact(problem, FLIP, "flip_linear_exact")
 
 
 def flip_approx_attack(problem: AttackProblem) -> AttackResult:
@@ -350,7 +304,7 @@ def flip_approx_attack(problem: AttackProblem) -> AttackResult:
                 f"node {i}: flip_approx_attack requires additive transitions",
                 node=i,
             )
-    evaluate = _Evaluator(problem)
+    evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
 
@@ -388,7 +342,7 @@ def random_mask_baseline(problem: AttackProblem, seed: int) -> AttackResult:
     rng = np.random.default_rng(seed)
     size = min(problem.budget, problem.model.n0)
     indices = np.sort(rng.choice(problem.model.n0, size=size, replace=False))
-    evaluate = _Evaluator(problem)
+    evaluate = problem.evaluator()
     value = evaluate(indices)
     return AttackResult(Mask(indices, problem.action), value, "random", evaluate.calls)
 

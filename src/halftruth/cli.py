@@ -11,8 +11,6 @@ seed column (the model is regenerated with that seed, the realization drawn
 from its stream 0, the random baseline from its stream 1).  Wall-clock timing
 is off by default because it would break byte-identical reruns; enable it with
 ``"timing": true``.
-
-``HALFTRUTH_THREADS`` caps how many sweep instances are solved concurrently.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .attacks import (
     ALGORITHMS,
@@ -63,15 +59,11 @@ def _parse_p(text: str):
         raise ValidationError("wrong_norm", f"--p must be a positive integer or 'inf': {text!r}")
 
 
-def _parse_ints(text: str) -> list[int]:
-    text = text.strip()
-    if not text:
-        return []
-    return [int(tok) for tok in text.split(",")]
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",")] if text.strip() else []
+def _parse_csv(text: str, convert) -> list:
+    try:
+        return [convert(tok) for tok in text.split(",")] if text.strip() else []
+    except ValueError:
+        raise ValidationError("spec_invalid", f"not a comma-separated list: {text!r}") from None
 
 
 def _fmt(x: float) -> str:
@@ -85,10 +77,10 @@ def _resolve_x0(args, model) -> tuple[int, ...]:
             "spec_invalid", "exactly one of --x0, --x0-file, --x0-seed is required"
         )
     if args.x0 is not None:
-        return tuple(_parse_ints(args.x0))
+        return tuple(_parse_csv(args.x0, int))
     if args.x0_file is not None:
         with open(args.x0_file, "r", encoding="utf-8") as fh:
-            return tuple(_parse_ints(fh.read().replace("\n", ",").replace(" ", ",")))
+            return tuple(_parse_csv(fh.read().replace("\n", ",").replace(" ", ","), int))
     return draw_realization(model, realization_rng(args.x0_seed))
 
 
@@ -113,7 +105,7 @@ def cmd_attack(args) -> int:
     model = load_model(args.model)
     validate_model(model)
     x0 = _resolve_x0(args, model)
-    target = tuple(_parse_floats(args.target)) if args.target else None
+    target = tuple(_parse_csv(args.target, float)) if args.target else None
     problem = AttackProblem(model, x0, args.k, _parse_p(args.p), args.action, target)
     if args.algorithm == "random":
         seed = args.seed if args.seed is not None else args.x0_seed
@@ -140,8 +132,8 @@ def cmd_eval(args) -> int:
     model = load_model(args.model)
     validate_model(model)
     x0 = _resolve_x0(args, model)
-    target = tuple(_parse_floats(args.target)) if args.target else None
-    mask = Mask(_parse_ints(args.mask), args.action)
+    target = tuple(_parse_csv(args.target, float)) if args.target else None
+    mask = Mask(_parse_csv(args.mask, int), args.action)
     value = objective_value(model, x0, mask, _parse_p(args.p), target)
     print(json.dumps({"mask": list(mask.indices), "value": value}))
     return 0
@@ -218,7 +210,12 @@ def _solve_cell(cfg: dict, n: int, trial: int, master_seed: int, p, action: str,
 
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError("spec_invalid", f"malformed sweep config: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError("spec_invalid", "sweep config must be a JSON object")
     ns = [int(n) for n in cfg.get("ns", [])]
     algorithms = list(cfg.get("algorithms", []))
     if not ns or not algorithms:
@@ -229,30 +226,16 @@ def cmd_sweep(args) -> int:
     action = cfg.get("action", HIDE)
     timing = bool(cfg.get("timing", False))
     out = cfg.get("out", "sweep.csv")
-    family = cfg["family"]
+    family = cfg.get("family")
     if family not in FAMILIES:
-        raise ValidationError("spec_invalid", f"unknown family {family!r}")
-
-    threads = int(os.environ.get("HALFTRUTH_THREADS", "1"))
-    cells = [(n, t) for n in ns for t in range(trials)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            solved = list(
-                pool.map(
-                    lambda nt: _solve_cell(cfg, nt[0], nt[1], master_seed, p, action, timing),
-                    cells,
-                )
-            )
-    else:
-        solved = [_solve_cell(cfg, n, t, master_seed, p, action, timing) for n, t in cells]
-    by_cell = dict(zip(cells, solved))
+        raise ValidationError("spec_invalid", f"unknown or missing family {family!r}")
 
     p_text = "inf" if p == math.inf else str(p)
     lines = ["family,n,k,p,algorithm,trial,seed,value,opt_value,ratio,wall_ms"]
     for n in ns:
+        cells = [_solve_cell(cfg, n, t, master_seed, p, action, timing) for t in range(trials)]
         for alg in algorithms:
-            for t in range(trials):
-                seed, k, opt, per_alg = by_cell[(n, t)]
+            for t, (seed, k, opt, per_alg) in enumerate(cells):
                 value, wall = per_alg[alg]
                 opt_text = _fmt(opt) if opt is not None else ""
                 ratio_text = _fmt(value / opt) if opt else ""

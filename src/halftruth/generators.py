@@ -22,6 +22,7 @@ import numpy as np
 
 from .model import (
     ADDITIVE,
+    PARENT_CAP,
     DbnModel,
     Mask,
     Stage1Node,
@@ -38,10 +39,6 @@ FAMILIES = (
     "theorem1",
     "heuristic_adversarial",
 )
-
-# random_general keeps parent sets at or below the general-table cap.
-_GENERAL_PARENT_LIMIT = 20
-
 
 @dataclass(frozen=True)
 class GenSpec:
@@ -101,8 +98,9 @@ def gen_random(spec: GenSpec) -> DbnModel:
         parents = list(np.flatnonzero(mask))
         if not parents:
             parents = [int(rng.integers(spec.n0))]
-        if spec.family == "random_general" and len(parents) > _GENERAL_PARENT_LIMIT:
-            parents = parents[:_GENERAL_PARENT_LIMIT]
+        # random_general keeps parent sets at or below the general-table cap.
+        if spec.family == "random_general" and len(parents) > PARENT_CAP:
+            parents = parents[:PARENT_CAP]
         npar = len(parents)
         if spec.family == "random_general":
             transition = general(rng.random(1 << npar))
@@ -154,7 +152,7 @@ def _looks_like_theorem1(model: DbnModel) -> bool:
     full = tuple(range(model.n0))
     if model.n1 != model.n0:
         return False
-    for node in model.nodes:
+    for _, node in model.node_table[0]:
         t = node.transition
         if node.parents != full or t.kind != ADDITIVE:
             return False

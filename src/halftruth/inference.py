@@ -15,7 +15,7 @@ disagreement count.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,41 +51,47 @@ def check_norm(p) -> float | int:
 
 def true_posterior(model: DbnModel, x0: Realization) -> np.ndarray:
     """Stage-1 marginals given the full realization."""
-    bits = check_realization(model, x0)
-    # Repeated node objects (constructed families share them) compute once.
-    memo: dict[int, float] = {}
-    out = np.empty(model.n1)
-    for i, node in enumerate(model.nodes):
-        q = memo.get(id(node))
-        if q is None:
-            q = transition_prob(node, [bits[j] for j in node.parents])
-            memo[id(node)] = q
-        out[i] = q
-    return out
+    return induced_posterior(model, x0, Mask((), FLIP))
 
 
 def masked_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
-    """Stage-1 marginals when the outcomes in ``mask`` are hidden.
-
-    Hidden parents are marginalized with their priors.  The general kind
-    enumerates the ``2^h`` hidden assignments (h capped at 20); the additive
-    kind convolves the Poisson-binomial of the hidden priors and shifts by the
-    observed parent sum; the linear kind substitutes priors for hidden values.
-    """
+    """Stage-1 marginals when the outcomes in ``mask`` are hidden."""
     if mask.action != HIDE:
         raise ValidationError("wrong_mask_action", f"expected a hide mask, got {mask.action!r}")
+    return induced_posterior(model, x0, mask)
+
+
+def flipped_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
+    """Stage-1 marginals when the observer is shown the flipped realization."""
+    if mask.action != FLIP:
+        raise ValidationError("wrong_mask_action", f"expected a flip mask, got {mask.action!r}")
+    return induced_posterior(model, x0, mask)
+
+
+def induced_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
+    """The observer's stage-1 marginals under either mask action.
+
+    Hide: hidden parents are marginalized with their priors.  The general
+    kind enumerates the ``2^h`` hidden assignments (h capped at 20); the
+    additive kind convolves the Poisson-binomial of the hidden priors and
+    shifts by the observed parent sum; the linear kind substitutes priors for
+    hidden values.  Flip: no marginalization happens; the observer sees a
+    complete (falsified) stage-0 vector with the masked bits inverted.
+
+    Each distinct node object is computed once (see ``DbnModel.node_table``).
+    """
     bits = check_realization(model, x0)
     check_mask_indices(model, mask)
-    hidden = frozenset(mask.indices)
-    memo: dict[int, float] = {}
-    out = np.empty(model.n1)
-    for i, node in enumerate(model.nodes):
-        r = memo.get(id(node))
-        if r is None:
-            r = _node_masked(model, bits, hidden, node, i)
-            memo[id(node)] = r
-        out[i] = r
-    return out
+    unique, slots = model.node_table
+    if mask.action == HIDE:
+        hidden = frozenset(mask.indices)
+        probs = [_node_masked(model, bits, hidden, node, i) for i, node in unique]
+    else:
+        shown = list(bits)
+        for j in mask.indices:
+            shown[j] = 1 - shown[j]
+        probs = [transition_prob(node, [shown[j] for j in node.parents]) for _, node in unique]
+    return np.array(probs, dtype=float)[slots]
 
 
 def _node_masked(
@@ -131,36 +137,6 @@ def _node_masked(
             for a, j in zip(t.values, node.parents)
         )
     )
-
-
-def flipped_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
-    """Stage-1 marginals when the observer is shown the flipped realization.
-
-    No marginalization happens: the observer sees a complete (falsified)
-    stage-0 vector with the masked bits inverted.
-    """
-    if mask.action != FLIP:
-        raise ValidationError("wrong_mask_action", f"expected a flip mask, got {mask.action!r}")
-    bits = list(check_realization(model, x0))
-    check_mask_indices(model, mask)
-    for j in mask.indices:
-        bits[j] = 1 - bits[j]
-    memo: dict[int, float] = {}
-    out = np.empty(model.n1)
-    for i, node in enumerate(model.nodes):
-        r = memo.get(id(node))
-        if r is None:
-            r = transition_prob(node, [bits[j] for j in node.parents])
-            memo[id(node)] = r
-        out[i] = r
-    return out
-
-
-def induced_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
-    """The observer's marginals under either mask action."""
-    if mask.action == HIDE:
-        return masked_posterior(model, x0, mask)
-    return flipped_posterior(model, x0, mask)
 
 
 def disagreement(q: Sequence[float], r: Sequence[float]) -> np.ndarray:
@@ -219,6 +195,43 @@ def lkm_distance(d: Sequence[float], p) -> float:
     return lkm_from_counts(poisson_binomial_pmf(da), p)
 
 
+class Evaluator:
+    """Attacker payoff of masks on one instance; higher is always better.
+
+    Untargeted: the distance between true and induced marginals.  Targeted:
+    minus the distance between the target marginals and the induced ones, so
+    maximization pushes the observer toward the target.  The reference
+    marginals are computed once; ``calls`` counts evaluations, which solvers
+    report as their work.
+    """
+
+    def __init__(
+        self,
+        model: DbnModel,
+        x0: Realization,
+        p,
+        action: str = HIDE,
+        target: Sequence[float] | None = None,
+    ):
+        self.model, self.x0, self.p, self.action = model, x0, p, action
+        self.calls = 0
+        if target is None:
+            self._ref = true_posterior(model, x0)
+            self._sign = 1.0
+        else:
+            self._ref = np.asarray(target, dtype=float)
+            self._sign = -1.0
+            if self._ref.size != model.n1:
+                raise ValidationError(
+                    "length_mismatch", f"target has length {self._ref.size}, expected {model.n1}"
+                )
+
+    def __call__(self, indices: Iterable[int]) -> float:
+        self.calls += 1
+        r = induced_posterior(self.model, self.x0, Mask(indices, self.action))
+        return self._sign * lkm_distance(disagreement(self._ref, r), self.p)
+
+
 def objective_value(
     model: DbnModel,
     x0: Realization,
@@ -226,19 +239,5 @@ def objective_value(
     p,
     target: Sequence[float] | None = None,
 ) -> float:
-    """Attacker payoff of a mask; higher is always better for the attacker.
-
-    Untargeted: the distance between true and induced marginals.  Targeted:
-    minus the distance between the target marginals and the induced ones, so
-    maximization pushes the observer toward the target.
-    """
-    r = induced_posterior(model, x0, mask)
-    if target is None:
-        q = true_posterior(model, x0)
-        return lkm_distance(disagreement(q, r), p)
-    ta = np.asarray(target, dtype=float)
-    if ta.size != model.n1:
-        raise ValidationError(
-            "length_mismatch", f"target has length {ta.size}, expected {model.n1}"
-        )
-    return -lkm_distance(disagreement(ta, r), p)
+    """Attacker payoff of one mask (see :class:`Evaluator`)."""
+    return Evaluator(model, x0, p, mask.action, target)(mask.indices)

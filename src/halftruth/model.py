@@ -131,6 +131,25 @@ class DbnModel:
     def priors_array(self) -> np.ndarray:
         return np.asarray(self.priors, dtype=float)
 
+    @cached_property
+    def node_table(self) -> tuple[tuple[tuple[int, Stage1Node], ...], np.ndarray]:
+        """Each distinct node object once, and the slot of every position.
+
+        Constructed families share one node object among many positions.  The
+        first part lists every distinct object with the first position that
+        holds it; the second maps each position to its entry in that list, so
+        per-node work runs once per object and is broadcast with ``[slots]``.
+        """
+        slot_of: dict[int, int] = {}
+        unique: list[tuple[int, Stage1Node]] = []
+        slots = np.empty(self.n1, dtype=np.intp)
+        for i, node in enumerate(self.nodes):
+            slot = slot_of.setdefault(id(node), len(unique))
+            if slot == len(unique):
+                unique.append((i, node))
+            slots[i] = slot
+        return tuple(unique), slots
+
 
 @dataclass(frozen=True)
 class Mask:
@@ -170,7 +189,7 @@ def check_realization(model: DbnModel, x0: Realization) -> tuple[int, ...]:
             "length_mismatch", f"realization has length {len(bits)}, expected {model.n0}"
         )
     if any(b not in (0, 1) for b in bits):
-        raise ValidationError("length_mismatch", f"realization entries must be 0/1: {bits}")
+        raise ValidationError("realization_invalid", f"realization entries must be 0/1: {bits}")
     return bits
 
 
@@ -191,11 +210,7 @@ def validate_model(model: DbnModel) -> None:
     for j, p in enumerate(model.priors):
         if not 0.0 <= p <= 1.0:
             raise ValidationError("prior_out_of_range", f"prior[{j}] = {p} not in [0, 1]")
-    seen: set[int] = set()  # shared node objects only need one pass
-    for i, node in enumerate(model.nodes):
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
+    for i, node in model.node_table[0]:
         for j in node.parents:
             if not 0 <= j < model.n0:
                 raise ValidationError(
@@ -242,7 +257,8 @@ def _validate_transition(i: int, node: Stage1Node) -> None:
                 f"node {i}: {len(t.values)} linear coefficients for {npar} parents",
                 node=i,
             )
-        if any(c < 0 for c in t.values) or sum(t.values) > 1.0 + 1e-15:
+        # Written so that NaN fails both comparisons.
+        if any(not c >= 0 for c in t.values) or not sum(t.values) <= 1.0 + 1e-15:
             raise ValidationError(
                 "linear_coeffs_invalid",
                 f"node {i}: linear coefficients must be >= 0 and sum to <= 1 "
@@ -335,8 +351,8 @@ def model_to_json(model: DbnModel) -> str:
 
 
 def model_from_json(text: str) -> DbnModel:
-    doc = json.loads(text)
     try:
+        doc = json.loads(text)
         n0 = int(doc["n0"])
         priors = [float(p) for p in doc["priors"]]
         nodes = []
@@ -350,7 +366,9 @@ def model_from_json(text: str) -> DbnModel:
                     Transition(kind, [float(v) for v in entry["transition"]["values"]]),
                 )
             )
-    except (KeyError, TypeError) as exc:
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError("spec_invalid", f"malformed model document: {exc}") from exc
     return DbnModel(n0, priors, nodes)
 

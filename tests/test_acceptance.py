@@ -26,7 +26,7 @@ from halftruth import (
     gen_theorem1,
     heuristic_attack,
     linear_exact_attack,
-    linear_hide_gains,
+    linear_gains,
     lkm_distance,
     lkm_from_counts,
     masked_posterior,
@@ -173,7 +173,7 @@ def test_criterion_8_linear_gain_additivity():
     worst = 0.0
     for _ in range(1000):
         model, x0 = random_instance(rng, "random_linear", max_n=10)
-        gains = linear_hide_gains(AttackProblem(model, x0, model.n0, 1, "hide"))
+        gains = linear_gains(AttackProblem(model, x0, model.n0, 1, "hide"))
         size = int(rng.integers(0, model.n0))
         eta = sorted(rng.choice(model.n0, size=size, replace=False).tolist())
         rest = [j for j in range(model.n0) if j not in eta]

@@ -21,8 +21,7 @@ from halftruth import (
     heuristic_attack,
     linear,
     linear_exact_attack,
-    linear_flip_gains,
-    linear_hide_gains,
+    linear_gains,
     objective_value,
     random_mask_baseline,
     solve,
@@ -229,7 +228,7 @@ def test_combined_zero_budget():
 def test_linear_hide_gain_worked_example():
     model = DbnModel(1, (0.6,), [Stage1Node((0,), linear([0.3]))])
     problem = AttackProblem(model, (0,), 1, 1, "hide")
-    gains = linear_hide_gains(problem)
+    gains = linear_gains(problem)
     assert gains[0] == pytest.approx(0.18)
     result = linear_exact_attack(problem)
     assert result.mask.indices == (0,)
@@ -290,7 +289,7 @@ def test_linear_gain_additivity():
     for _ in range(50):
         model, x0 = random_instance(rng, "random_linear", max_n=8)
         problem = AttackProblem(model, x0, model.n0, 1, "hide")
-        gains = linear_hide_gains(problem)
+        gains = linear_gains(problem)
         size = int(rng.integers(0, model.n0))
         eta = sorted(rng.choice(model.n0, size=size, replace=False).tolist())
         rest = [j for j in range(model.n0) if j not in eta]
@@ -352,12 +351,12 @@ def test_flip_approx_n_approximation_bound():
 def test_flip_linear_gain_worked_examples():
     model = DbnModel(1, (0.6,), [Stage1Node((0,), linear([0.3]))])
     up = AttackProblem(model, (0,), 1, 1, "flip")
-    assert linear_flip_gains(up)[0] == pytest.approx(0.3)
+    assert linear_gains(up)[0] == pytest.approx(0.3)
     result = flip_linear_exact_attack(up)
     assert result.mask.indices == (0,)
     assert result.value == pytest.approx(0.3)
     down = AttackProblem(model, (1,), 1, 1, "flip")
-    assert linear_flip_gains(down)[0] == pytest.approx(-0.12)
+    assert linear_gains(down)[0] == pytest.approx(-0.12)
     assert flip_linear_exact_attack(down).mask.indices == ()
 
 

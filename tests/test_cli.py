@@ -242,13 +242,38 @@ def test_sweep_rows_replay_through_attack(tmp_path, capsys):
         assert json.loads(out)["value"] == pytest.approx(float(row["value"]), abs=1e-12)
 
 
-def test_sweep_thread_cap_preserves_output(tmp_path, capsys, monkeypatch):
-    cfg_path, _ = sweep_config(tmp_path)
-    run(capsys, "sweep", "--config", str(cfg_path))
-    serial = (tmp_path / "sweep.csv").read_bytes()
-    monkeypatch.setenv("HALFTRUTH_THREADS", "4")
-    run(capsys, "sweep", "--config", str(cfg_path))
-    assert (tmp_path / "sweep.csv").read_bytes() == serial
+def _malformed_model_json(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text('{"n0": 2, "priors": [0.5,')
+    return ["attack", "--model", str(path), "--x0", "1,0", "--algorithm", "heuristic", "--k", "1"]
+
+
+def _malformed_sweep_json(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text('{"family": ')
+    return ["sweep", "--config", str(path)]
+
+
+def _non_integer_x0(tmp_path, capsys):
+    path = write_toy_model(tmp_path, capsys)
+    return ["attack", "--model", str(path), "--x0", "1,a", "--algorithm", "heuristic", "--k", "1"]
+
+
+def _sweep_without_family(tmp_path, capsys):
+    cfg_path, cfg = sweep_config(tmp_path)
+    del cfg["family"]
+    cfg_path.write_text(json.dumps(cfg))
+    return ["sweep", "--config", str(cfg_path)]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_malformed_model_json, _malformed_sweep_json, _non_integer_x0, _sweep_without_family],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, make_argv):
+    code, _, err = run(capsys, *make_argv(tmp_path, capsys))
+    assert code == 2
+    assert "error (spec_invalid)" in err
 
 
 def test_attack_targeted_mode(tmp_path, capsys):

@@ -96,6 +96,15 @@ def test_flipped_posterior_wrong_action(toy):
         flipped_posterior(toy, [1, 0, 1], Mask([1], "hide"))
 
 
+@pytest.mark.parametrize(
+    "x0, code", [([1, 0], "length_mismatch"), ([1, 2, 0], "realization_invalid")]
+)
+def test_posterior_rejects_bad_realization(toy, x0, code):
+    with pytest.raises(ValidationError) as err:
+        true_posterior(toy, x0)
+    assert err.value.code == code
+
+
 def test_disagreement_examples():
     assert disagreement([0.5], [0.9])[0] == pytest.approx(0.5)
     assert disagreement([0.0], [1.0])[0] == pytest.approx(1.0)

@@ -49,6 +49,13 @@ def test_negative_linear_coeff():
     assert err.value.code == "linear_coeffs_invalid"
 
 
+def test_nan_linear_coeff():
+    model = one_node(linear([float("nan"), 0.2]), n0=2, priors=(0.5, 0.5), parents=(0, 1))
+    with pytest.raises(ValidationError) as err:
+        validate_model(model)
+    assert err.value.code == "linear_coeffs_invalid"
+
+
 def test_parent_index_out_of_range():
     model = one_node(additive([0.1, 0.2]), n0=1, priors=(0.5,), parents=(3,))
     with pytest.raises(ValidationError) as err:
