@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,9 +41,12 @@ from .model import (
     Mask,
     ValidationError,
     check_realization,
+    is_integral,
 )
 
 BRUTE_FORCE_LIMIT = 10**7
+# Masks per batch for the solvers that stream them; bounds their memory.
+BATCH_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -60,8 +63,10 @@ class AttackProblem:
     def __init__(self, model, x0, budget, p=1, action=HIDE, target=None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "x0", check_realization(model, x0))
-        if budget < 0:
-            raise ValidationError("spec_invalid", f"budget must be nonnegative: {budget}")
+        if not is_integral(budget) or budget < 0:
+            raise ValidationError(
+                "spec_invalid", f"budget must be a nonnegative integer: {budget!r}"
+            )
         object.__setattr__(self, "budget", min(int(budget), model.n0))
         object.__setattr__(self, "p", check_norm(p))
         if action not in (HIDE, FLIP):
@@ -94,8 +99,9 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
 
     The objective is not monotone in the mask (hiding can reduce distance),
     so all sizes are tried, not just the full budget.  Value ties go to the
-    lexicographically smallest index tuple.  Refuses instances with more than
-    ``BRUTE_FORCE_LIMIT`` candidate masks.
+    lexicographically smallest index tuple, whatever the order masks are
+    scored in; they are scored depth first, in batches of ``BATCH_SIZE``.
+    Refuses instances with more than ``BRUTE_FORCE_LIMIT`` candidate masks.
     """
     n0, k = problem.model.n0, problem.budget
     count = sum(math.comb(n0, m) for m in range(k + 1))
@@ -107,14 +113,33 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
-    for m in range(1, k + 1):
-        for cand in combinations(range(n0), m):
-            value = evaluate(cand)
+    for block in _blocks(_masks_depth_first(n0, k)):
+        for cand, value in zip(block, evaluate.batch(block)):
             if value > best_value or (value == best_value and cand < best_set):
                 best_value, best_set = value, cand
     return AttackResult(
         Mask(best_set, problem.action), best_value, "brute_force", evaluate.calls
     )
+
+
+def _blocks(masks: Iterator[Sequence[int]]) -> Iterator[list[Sequence[int]]]:
+    """Consecutive runs of up to ``BATCH_SIZE`` masks."""
+    while block := list(islice(masks, BATCH_SIZE)):
+        yield block
+
+
+def _masks_depth_first(n0: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every sorted index tuple of 1..k indices, each right after its parent.
+
+    The parent is the tuple without its largest index, so the evaluator
+    recomputes one index's children per mask.
+    """
+    stack = [(j,) for j in reversed(range(n0))] if k else []
+    while stack:
+        mask = stack.pop()
+        yield mask
+        if len(mask) < k:
+            stack.extend(mask + (j,) for j in reversed(range(mask[-1] + 1, n0)))
 
 
 def _require(problem: AttackProblem, action: str, caller: str) -> None:
@@ -135,9 +160,8 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
     what makes this an n-approximation.
     """
     _require(problem, HIDE, "approx_attack")
-    model, bits, k = problem.model, problem.x0, problem.budget
     directions = []
-    for i, node in enumerate(model.nodes):
+    for i, node in enumerate(problem.model.nodes):
         direction = node.transition.monotone_direction() if node.transition.kind == ADDITIVE else None
         if direction is None:
             raise ValidationError(
@@ -149,6 +173,16 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
+    for block in _blocks(_greedy_prefixes(problem, directions)):
+        for prefix, value in zip(block, evaluate.batch(block)):
+            if value > best_value:
+                best_value, best_set = value, tuple(sorted(prefix))
+    return AttackResult(Mask(best_set, HIDE), best_value, "approx", evaluate.calls)
+
+
+def _greedy_prefixes(problem: AttackProblem, directions: list[str]) -> Iterator[list[int]]:
+    """Each node's hiding pool, best prior first, as its prefixes of 1..k indices."""
+    model, bits, k = problem.model, problem.x0, problem.budget
     for node, direction in zip(model.nodes, directions):
         q = node.transition.values[sum(bits[j] for j in node.parents)]
         increasing = direction == "increasing"
@@ -160,13 +194,8 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
             pool.sort(key=lambda j: (-model.priors[j], j))
         else:
             pool.sort(key=lambda j: (model.priors[j], j))
-        chosen: list[int] = []
-        for j in pool[:k]:
-            chosen.append(j)
-            value = evaluate(chosen)
-            if value > best_value:
-                best_value, best_set = value, tuple(sorted(chosen))
-    return AttackResult(Mask(best_set, HIDE), best_value, "approx", evaluate.calls)
+        for t in range(min(k, len(pool))):
+            yield pool[: t + 1]
 
 
 def heuristic_attack(problem: AttackProblem) -> AttackResult:
@@ -184,10 +213,9 @@ def heuristic_attack(problem: AttackProblem) -> AttackResult:
     for _ in range(k):
         step_best = -math.inf
         step_idx = -1
-        for j in range(n0):
-            if j in current:
-                continue
-            value = evaluate(sorted(current + [j]))
+        cands = [j for j in range(n0) if j not in current]
+        values = evaluate.batch([current + [j] for j in cands], base=current)
+        for j, value in zip(cands, values):
             if value > step_best:
                 step_best, step_idx = value, j
         if step_idx < 0:
@@ -311,10 +339,8 @@ def flip_approx_attack(problem: AttackProblem) -> AttackResult:
     def grow(eta: list[int], pool: Sequence[int]) -> float:
         nonlocal best_set, best_value
         step_best, step_idx = -math.inf, -1
-        for j in pool:
-            if j in eta:
-                continue
-            value = evaluate(sorted(eta + [j]))
+        cands = [j for j in pool if j not in eta]
+        for j, value in zip(cands, evaluate.batch([eta + [j] for j in cands], base=eta)):
             if value > step_best:
                 step_best, step_idx = value, j
         if step_idx < 0:

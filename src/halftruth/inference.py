@@ -32,6 +32,7 @@ from .model import (
     ValidationError,
     check_mask_indices,
     check_realization,
+    is_integral,
     transition_prob,
 )
 
@@ -42,9 +43,7 @@ def check_norm(p) -> float | int:
     """Validate an Lp exponent: a positive integer or ``math.inf``."""
     if p == Infinity:
         return Infinity
-    if isinstance(p, (int, np.integer)) and p >= 1:
-        return int(p)
-    if isinstance(p, float) and p.is_integer() and p >= 1:
+    if is_integral(p) and p >= 1:
         return int(p)
     raise ValidationError("wrong_norm", f"norm exponent must be a positive integer or inf: {p!r}")
 
@@ -83,15 +82,28 @@ def induced_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarra
     bits = check_realization(model, x0)
     check_mask_indices(model, mask)
     unique, slots = model.node_table
-    if mask.action == HIDE:
-        hidden = frozenset(mask.indices)
-        probs = [_node_masked(model, bits, hidden, node, i) for i, node in unique]
-    else:
-        shown = list(bits)
-        for j in mask.indices:
-            shown[j] = 1 - shown[j]
-        probs = [transition_prob(node, [shown[j] for j in node.parents]) for _, node in unique]
+    view = _mask_view(bits, mask)
+    probs = [_node_value(model, bits, mask.action, view, node, i) for i, node in unique]
     return np.array(probs, dtype=float)[slots]
+
+
+def _mask_view(bits: tuple[int, ...], mask: Mask) -> frozenset[int] | list[int]:
+    """What the per-node routine reads of a mask: the hidden set, or the shown bits."""
+    if mask.action == HIDE:
+        return frozenset(mask.indices)
+    shown = list(bits)
+    for j in mask.indices:
+        shown[j] = 1 - shown[j]
+    return shown
+
+
+def _node_value(
+    model: DbnModel, bits: tuple[int, ...], action: str, view, node: Stage1Node, i: int
+) -> float:
+    """One node's marginal under a mask; reads only the mask's bits among its parents."""
+    if action == HIDE:
+        return _node_masked(model, bits, view, node, i)
+    return transition_prob(node, [view[j] for j in node.parents])
 
 
 def _node_masked(
@@ -126,7 +138,7 @@ def _node_masked(
             total += w * t.values[idx]
         return total
     if t.kind == ADDITIVE:
-        obs_sum = sum(bits[j] for j in node.parents if j not in hidden)
+        obs_sum = sum([bits[j] for j in node.parents if j not in hidden])
         pmf = poisson_binomial_pmf([model.priors[j] for j in hid])
         table = t.values_array
         return float(pmf @ table[obs_sum : obs_sum + len(hid) + 1])
@@ -140,10 +152,13 @@ def _node_masked(
 
 
 def disagreement(q: Sequence[float], r: Sequence[float]) -> np.ndarray:
-    """Per-coordinate probability that independent draws from q and r differ."""
+    """Per-coordinate probability that independent draws from q and r differ.
+
+    ``r`` may also be a matrix whose rows are each compared with ``q``.
+    """
     qa = np.asarray(q, dtype=float)
     ra = np.asarray(r, dtype=float)
-    if qa.shape != ra.shape:
+    if qa.shape != ra.shape and qa.shape != ra.shape[1:]:
         raise ValidationError(
             "length_mismatch", f"posterior lengths differ: {qa.shape} vs {ra.shape}"
         )
@@ -154,15 +169,27 @@ def poisson_binomial_pmf(d: Sequence[float]) -> np.ndarray:
     """PMF of the number of successes among independent Bernoulli(d_i) trials.
 
     Plain O(n^2) convolution; entries stay nonnegative by construction and the
-    result sums to 1 up to roundoff.
+    result sums to 1 up to roundoff.  ``d`` may also be a matrix of
+    independent rows: the convolution then runs column by column over all
+    rows at once and returns one PMF per row.
     """
-    da = np.asarray(d, dtype=float)
-    pmf = np.zeros(da.size + 1)
+    cols = np.asarray(d, dtype=float).T
+    # Counts on the first axis, so each step slices whole rows of ``pmf``;
+    # after k columns only counts 0..k can be nonzero.
+    pmf = np.zeros((len(cols) + 1,) + cols.shape[1:])
     pmf[0] = 1.0
-    for p in da:
-        pmf[1:] = pmf[1:] * (1.0 - p) + pmf[:-1] * p
-        pmf[0] *= 1.0 - p
-    return pmf
+    for k, p in enumerate(cols):
+        q = 1.0 - p
+        pmf[1 : k + 2] = pmf[1 : k + 2] * q + pmf[: k + 1] * p
+        pmf[0] *= q
+    return np.ascontiguousarray(pmf.T)
+
+
+def _count_weights(size: int, p) -> np.ndarray:
+    """``m^(1/p)`` for counts m = 1..size, with ``m^(1/inf) = 1``."""
+    if p == Infinity:
+        return np.ones(size)
+    return np.exp(np.log(np.arange(1, size + 1)) / p)
 
 
 def lkm_from_counts(pmf: Sequence[float], p) -> float:
@@ -174,25 +201,39 @@ def lkm_from_counts(pmf: Sequence[float], p) -> float:
     arr = np.asarray(pmf, dtype=float)
     if arr.size <= 1:
         return 0.0
-    m = np.arange(1, arr.size)
-    weights = np.ones(arr.size - 1) if p == Infinity else np.exp(np.log(m) / p)
-    return float(arr[1:] @ weights)
+    return float(arr[1:] @ _count_weights(arr.size - 1, p))
 
 
 def lkm_distance(d: Sequence[float], p) -> float:
     """Expected Lp distance between two independent binary product vectors.
 
-    Takes the per-coordinate disagreement probabilities.  p = 1 is the plain
-    sum, p = inf the probability of any disagreement; finite p >= 2 goes
-    through the Poisson-binomial count distribution.
+    Takes the per-coordinate disagreement probabilities, each in [0, 1].
+    p = 1 is the plain sum, p = inf the probability of any disagreement;
+    finite p >= 2 goes through the Poisson-binomial count distribution.
     """
     p = check_norm(p)
-    da = np.asarray(d, dtype=float)
+    da = np.asarray(d, dtype=float).reshape(1, -1)
+    # Written so that NaN fails the check.
+    if not np.all((da >= 0.0) & (da <= 1.0)):
+        raise ValidationError(
+            "probability_out_of_range", "disagreement probabilities must lie in [0, 1]"
+        )
+    return _distances(da, p)[0]
+
+
+def _distances(d: np.ndarray, p) -> list[float]:
+    """:func:`lkm_distance` of each row of a disagreement matrix, ``p`` checked.
+
+    Every reduction runs on one row at a time, so a row scores the same bits
+    whichever matrix it sits in.  Not range-checked: linear coefficients may
+    sum to a rounding error above 1, which puts a ``d`` just below 0.
+    """
     if p == 1:
-        return float(da.sum())
+        return [float(row.sum()) for row in d]
     if p == Infinity:
-        return float(1.0 - np.prod(1.0 - da))
-    return lkm_from_counts(poisson_binomial_pmf(da), p)
+        return [float(1.0 - np.prod(1.0 - row)) for row in d]
+    weights = _count_weights(d.shape[1], p)
+    return [float(row[1:] @ weights) for row in poisson_binomial_pmf(d)]
 
 
 class Evaluator:
@@ -201,8 +242,20 @@ class Evaluator:
     Untargeted: the distance between true and induced marginals.  Targeted:
     minus the distance between the target marginals and the induced ones, so
     maximization pushes the observer toward the target.  The reference
-    marginals are computed once; ``calls`` counts evaluations, which solvers
-    report as their work.
+    marginals are computed once.  ``calls`` counts evaluations, which solvers
+    report as their work; ``node_posteriors`` counts node marginals computed,
+    one per distinct node object (see ``DbnModel.node_table``).
+
+    A node's marginal depends only on the mask's bits among its parents, so
+    the evaluator keeps the node values of a base mask and of the empty mask,
+    and a mask recomputes only the children (``DbnModel.children``) of the
+    indices where it differs from a mask already computed.  When those
+    indices have on average as many child edges as there are distinct nodes,
+    as in the all-parents family, it recomputes every node instead and never
+    builds the children lists.  :meth:`batch` scores many masks at once,
+    with one Poisson-binomial convolution for all of them; :meth:`__call__`
+    is its one-mask case.  Either way each score has the same bits as
+    scoring the mask from scratch.
     """
 
     def __init__(
@@ -213,10 +266,19 @@ class Evaluator:
         action: str = HIDE,
         target: Sequence[float] | None = None,
     ):
-        self.model, self.x0, self.p, self.action = model, x0, p, action
+        self.model, self.x0, self.p, self.action = model, x0, check_norm(p), action
+        self._bits = check_realization(model, x0)
+        true = true_posterior(model, x0)
+        unique, self._slots = model.node_table
+        # Node values under the empty mask, which are the same for both actions.
+        self._empty = true[[i for i, _ in unique]]
+        self._base, self._base_values = frozenset(), self._empty
+        # Child edges per stage-0 index, on average.
+        self._mean_children = sum(len(node.parents) for _, node in unique) / max(model.n0, 1)
         self.calls = 0
+        self.node_posteriors = len(unique)
         if target is None:
-            self._ref = true_posterior(model, x0)
+            self._ref = true
             self._sign = 1.0
         else:
             self._ref = np.asarray(target, dtype=float)
@@ -227,9 +289,60 @@ class Evaluator:
                 )
 
     def __call__(self, indices: Iterable[int]) -> float:
-        self.calls += 1
-        r = induced_posterior(self.model, self.x0, Mask(indices, self.action))
-        return self._sign * lkm_distance(disagreement(self._ref, r), self.p)
+        """Score one mask, which becomes the base."""
+        return self.batch([indices], base=indices)[0]
+
+    def batch(
+        self, masks: Sequence[Iterable[int]], base: Iterable[int] | None = None
+    ) -> list[float]:
+        """Scores of ``masks``, in order.
+
+        ``base`` (default: the current one) becomes the base mask first.
+        Each mask starts from whichever of the base, the empty mask and the
+        batch's latest masks of its own size and of one index fewer differs
+        from it in the fewest indices.  So one index added to the base, a
+        chain of growing prefixes, or masks listed each after its parent,
+        recompute one index's children per mask.
+        """
+        self.calls += len(masks)
+        if base is not None:
+            values = np.empty_like(self._empty)
+            self._base, self._base_values = self._fill(values, base, {}), values
+        rows = np.empty((len(masks), self._empty.size))
+        latest: dict[int, tuple[frozenset[int], np.ndarray]] = {}
+        for row, indices in zip(rows, masks):
+            self._fill(row, indices, latest)
+        d = disagreement(self._ref, rows[:, self._slots])
+        return [self._sign * value for value in _distances(d, self.p)]
+
+    def _fill(self, out: np.ndarray, indices: Iterable[int], latest: dict) -> frozenset[int]:
+        """Write one mask's node values into ``out``; record it in ``latest`` by size."""
+        mask = Mask(indices, self.action)
+        check_mask_indices(self.model, mask)
+        chosen = frozenset(mask.indices)
+        size = len(chosen)
+        nearby = [(self._base, self._base_values)]
+        nearby += [latest[m] for m in (size - 1, size) if m in latest]
+        changed, start = chosen, self._empty
+        for near, values in nearby:
+            if len(chosen ^ near) < len(changed):
+                changed, start = chosen ^ near, values
+        latest[size] = (chosen, out)
+        out[:] = start
+        if not changed:
+            return chosen
+        unique = self.model.node_table[0]
+        if len(changed) * self._mean_children >= len(unique):
+            touched = range(len(unique))
+        else:
+            children = self.model.children
+            touched = sorted(set().union(*(children[j] for j in changed)))
+        view = _mask_view(self._bits, mask)
+        for s in touched:
+            i, node = unique[s]
+            out[s] = _node_value(self.model, self._bits, self.action, view, node, i)
+        self.node_posteriors += len(touched)
+        return chosen
 
 
 def objective_value(

@@ -150,6 +150,18 @@ class DbnModel:
             slots[i] = slot
         return tuple(unique), slots
 
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """For each stage-0 index, the ``node_table`` entries whose parents hold it.
+
+        Hiding or flipping index j can change only these nodes' marginals.
+        """
+        lists: list[list[int]] = [[] for _ in range(self.n0)]
+        for slot, (_, node) in enumerate(self.node_table[0]):
+            for j in node.parents:
+                lists[j].append(slot)
+        return tuple(map(tuple, lists))
+
 
 @dataclass(frozen=True)
 class Mask:
@@ -179,6 +191,15 @@ class Mask:
 
 # A stage-0 realization is any 0/1 sequence of length n0; kept as plain data.
 Realization = Sequence[int]
+
+
+def is_integral(x) -> bool:
+    """True for an int or an integral float, such as 4.0; False for a bool."""
+    if isinstance(x, bool):
+        return False
+    if isinstance(x, (int, np.integer)):
+        return True
+    return isinstance(x, (float, np.floating)) and float(x).is_integer()
 
 
 def check_realization(model: DbnModel, x0: Realization) -> tuple[int, ...]:
@@ -266,7 +287,7 @@ def _validate_transition(i: int, node: Stage1Node) -> None:
                 node=i,
             )
     else:
-        raise ValidationError("table_length_mismatch", f"node {i}: unknown kind {t.kind!r}", node=i)
+        raise ValidationError("kind_invalid", f"node {i}: unknown kind {t.kind!r}", node=i)
 
 
 def _check_probs(i: int, values: tuple[float, ...]) -> None:
@@ -359,7 +380,7 @@ def model_from_json(text: str) -> DbnModel:
         for entry in doc["nodes"]:
             kind = entry["transition"]["kind"]
             if kind not in KINDS:
-                raise ValidationError("table_length_mismatch", f"unknown transition kind {kind!r}")
+                raise ValidationError("kind_invalid", f"unknown transition kind {kind!r}")
             nodes.append(
                 Stage1Node(
                     [int(p) for p in entry["parents"]],

@@ -454,6 +454,26 @@ def test_budget_clamped_to_n0():
         AttackProblem(model, (0,), -1, 1, "hide")
 
 
+@pytest.mark.parametrize("budget", [0.7, 1.5, math.nan, math.inf, -1.0])
+def test_budget_rejects_non_integers(budget):
+    model = single_informative_parent()
+    with pytest.raises(ValidationError) as err:
+        AttackProblem(model, (0,), budget, 1, "hide")
+    assert err.value.code == "spec_invalid"
+
+
+def test_budget_keeps_integral_floats():
+    model = random_model(np.random.default_rng(0), 6, 6)
+    assert AttackProblem(model, (0,) * 6, 4.0, 1, "hide").budget == 4
+
+
+def test_norm_rejects_bool():
+    model = single_informative_parent()
+    with pytest.raises(ValidationError) as err:
+        AttackProblem(model, (0,), 1, True, "hide")
+    assert err.value.code == "wrong_norm"
+
+
 def test_solve_rejects_unknown_algorithm():
     model = single_informative_parent()
     with pytest.raises(ValidationError):

@@ -266,14 +266,33 @@ def _sweep_without_family(tmp_path, capsys):
     return ["sweep", "--config", str(cfg_path)]
 
 
+def _unknown_transition_kind(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(
+        '{"n0": 1, "priors": [0.5], "nodes": '
+        '[{"parents": [0], "transition": {"kind": "spline", "values": [0.5]}}]}'
+    )
+    return ["attack", "--model", str(path), "--x0", "1", "--algorithm", "heuristic", "--k", "1"]
+
+
+# The error code each malformed input reports; spec_invalid when not listed.
+MALFORMED_CODES = {_unknown_transition_kind: "kind_invalid"}
+
+
 @pytest.mark.parametrize(
     "make_argv",
-    [_malformed_model_json, _malformed_sweep_json, _non_integer_x0, _sweep_without_family],
+    [
+        _malformed_model_json,
+        _malformed_sweep_json,
+        _non_integer_x0,
+        _sweep_without_family,
+        _unknown_transition_kind,
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, make_argv):
     code, _, err = run(capsys, *make_argv(tmp_path, capsys))
     assert code == 2
-    assert "error (spec_invalid)" in err
+    assert f"error ({MALFORMED_CODES.get(make_argv, 'spec_invalid')})" in err
 
 
 def test_attack_targeted_mode(tmp_path, capsys):

@@ -22,6 +22,7 @@ from halftruth import (
     true_posterior,
     validate_model,
 )
+from halftruth.inference import check_norm
 from oracles import enumerate_hide_posterior, enumerate_lkm, enumerate_lkm_fast, random_model
 
 INF = math.inf
@@ -196,10 +197,59 @@ def test_lkm_bounds(p):
         assert -1e-12 <= v <= top + 1e-12
 
 
+def test_pmf_of_a_matrix_is_the_pmf_of_each_row():
+    rng = np.random.default_rng(7)
+    for n in (0, 1, 5, 33):
+        d = rng.random((4, n))
+        pmf = poisson_binomial_pmf(d)
+        assert pmf.shape == (4, n + 1)
+        for row, got in zip(d, pmf):
+            assert np.array_equal(poisson_binomial_pmf(row), got)
+
+
+def test_disagreement_compares_each_row_with_q():
+    q = np.array([0.2, 0.9])
+    r = np.array([[0.5, 0.1], [1.0, 0.0]])
+    for row, got in zip(r, disagreement(q, r)):
+        assert np.array_equal(disagreement(q, row), got)
+    with pytest.raises(ValidationError):
+        disagreement(q, np.ones((2, 3)))
+
+
 def test_lkm_rejects_bad_norm():
     with pytest.raises(ValidationError) as err:
         lkm_distance([0.5], 0.5)
     assert err.value.code == "wrong_norm"
+
+
+@pytest.mark.parametrize("p", [True, False, 0.5, 0, "2"])
+def test_check_norm_rejects_non_integers_and_bools(p):
+    with pytest.raises(ValidationError) as err:
+        check_norm(p)
+    assert err.value.code == "wrong_norm"
+
+
+def test_check_norm_keeps_integral_floats():
+    assert check_norm(4.0) == 4 and isinstance(check_norm(4.0), int)
+    assert check_norm(INF) == INF
+
+
+@pytest.mark.parametrize("d,p", [([math.nan], 1), ([1.5, -0.2], 2), ([0.5, 1.0 + 1e-12], INF)])
+def test_lkm_rejects_disagreement_outside_unit_interval(d, p):
+    with pytest.raises(ValidationError) as err:
+        lkm_distance(d, p)
+    assert err.value.code == "probability_out_of_range"
+
+
+def test_objective_tolerates_rounding_below_zero():
+    # Coefficients summing to a rounding error above 1 pass validation; with
+    # every parent up, q = r = 1 + 2^-52 and d falls just below 0.
+    model = DbnModel(2, (0.5, 0.5), [Stage1Node((0, 1), linear([0.5, 0.5 + 1e-15]))])
+    validate_model(model)
+    q = true_posterior(model, [1, 1])
+    assert disagreement(q, q)[0] < 0.0
+    for p in (1, 2, INF):
+        assert objective_value(model, [1, 1], Mask(()), p) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_objective_empty_mask_deterministic_model():

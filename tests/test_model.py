@@ -7,6 +7,7 @@ from halftruth import (
     DbnModel,
     Mask,
     Stage1Node,
+    Transition,
     ValidationError,
     additive,
     additive_to_general,
@@ -179,8 +180,15 @@ def test_json_writer_emits_17_significant_digits():
 
 def test_json_reader_rejects_unknown_kind():
     text = '{"n0": 1, "priors": [0.5], "nodes": [{"parents": [0], "transition": {"kind": "spline", "values": [0.5]}}]}'
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         model_from_json(text)
+    assert err.value.code == "kind_invalid"
+
+
+def test_validate_rejects_unknown_kind():
+    with pytest.raises(ValidationError) as err:
+        validate_model(one_node(Transition("spline", [0.5] * 8)))
+    assert err.value.code == "kind_invalid"
 
 
 def test_monotone_direction_scan():

@@ -2,8 +2,11 @@
 
 Every ``ALGORITHMS`` entry runs on seeded ``random_general``,
 ``random_additive`` (monotone) and ``random_linear`` instances with n0 = 10,
-both actions, p in {1, 2, inf} and k = 3.  Each case records the mask, the
-algorithm tag, the evaluation count and the value as ``float.hex``, or the
+edge density 0.5, both actions, p in {1, 2, inf} and k = 3, and on sparse
+``random_additive`` (monotone) and ``random_linear`` instances with n0 = 40,
+edge density 0.1, both actions, p in {1, 2} and k = 4, where each stage-0
+index reaches only a few nodes.  Each case records the mask, the algorithm
+tag, the evaluation count and the value as ``float.hex``, or the
 ``ValidationError`` code when the solver refuses the instance.  Posteriors
 and objective values (untargeted and targeted) are recorded under a few
 seeded masks per instance, and the p = 1 linear gains (untargeted and
@@ -48,13 +51,20 @@ BUDGET = 3
 NORMS = (1, 2, math.inf)
 MASK_SIZES = (0, 1, 3, 10)
 
+# (key prefix, families, seeds, n0, edge density, norms, budget) per solver set.
+SOLVER_SETS = (
+    ("", FAMILIES, SEEDS, N0, 0.5, NORMS, BUDGET),
+    ("sparse/", FAMILIES[1:], range(3), 40, 0.1, (1, 2), 4),
+)
 
-def _instances():
-    for family, monotone in FAMILIES:
-        for seed in SEEDS:
-            model = generate(GenSpec(family, N0, monotone=monotone, seed=seed))
+
+def _instances(families=FAMILIES, seeds=SEEDS, n0=N0, density=0.5, prefix=""):
+    for family, monotone in families:
+        for seed in seeds:
+            spec = GenSpec(family, n0, edge_density=density, monotone=monotone, seed=seed)
+            model = generate(spec)
             x0 = draw_realization(model, realization_rng(seed))
-            yield f"{family}/{seed}", model, x0, seed
+            yield f"{prefix}{family}/{seed}", model, x0, seed
 
 
 def _hex_list(values) -> list[str]:
@@ -63,23 +73,30 @@ def _hex_list(values) -> list[str]:
 
 def solver_table() -> dict:
     table = {}
-    for name, model, x0, seed in _instances():
-        for action in (HIDE, FLIP):
-            for p in NORMS:
-                problem = AttackProblem(model, x0, BUDGET, p, action)
-                for alg in ALGORITHMS:
-                    key = f"{name}/{action}/p={p}/{alg}"
-                    try:
-                        result = solve(problem, alg, seed=baseline_seed(seed))
-                    except ValidationError as exc:
-                        table[key] = exc.code
-                    else:
-                        table[key] = [
-                            list(result.mask.indices),
-                            result.algorithm,
-                            result.evaluations,
-                            float(result.value).hex(),
-                        ]
+    for prefix, families, seeds, n0, density, norms, budget in SOLVER_SETS:
+        for case in _instances(families, seeds, n0, density, prefix):
+            table.update(_solver_cases(*case, norms, budget))
+    return table
+
+
+def _solver_cases(name, model, x0, seed, norms, budget) -> dict:
+    table = {}
+    for action in (HIDE, FLIP):
+        for p in norms:
+            problem = AttackProblem(model, x0, budget, p, action)
+            for alg in ALGORITHMS:
+                key = f"{name}/{action}/p={p}/{alg}"
+                try:
+                    result = solve(problem, alg, seed=baseline_seed(seed))
+                except ValidationError as exc:
+                    table[key] = exc.code
+                else:
+                    table[key] = [
+                        list(result.mask.indices),
+                        result.algorithm,
+                        result.evaluations,
+                        float(result.value).hex(),
+                    ]
     return table
 
 
