@@ -35,6 +35,7 @@ from .model import (
     FLIP,
     Mask,
     ValidationError,
+    is_integral,
     load_model,
     save_model,
     validate_model,
@@ -161,6 +162,8 @@ def cmd_simulate(args) -> int:
 
 def _sweep_budget(cfg: dict, n: int) -> int:
     if "k" in cfg:
+        if not is_integral(cfg["k"]):
+            raise ValidationError("spec_invalid", f"sweep k must be an integer: {cfg['k']!r}")
         return int(cfg["k"])
     if "k_fraction" in cfg:
         frac = float(cfg["k_fraction"])

@@ -62,7 +62,7 @@ class Transition:
 
     def __init__(self, kind: str, values: Iterable[float]):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", tuple(float(v) for v in values))
+        object.__setattr__(self, "values", tuple(map(float, values)))
 
     @cached_property
     def values_array(self) -> np.ndarray:
@@ -102,7 +102,7 @@ class Stage1Node:
     transition: Transition
 
     def __init__(self, parents: Iterable[int], transition: Transition):
-        object.__setattr__(self, "parents", tuple(int(p) for p in parents))
+        object.__setattr__(self, "parents", tuple(map(int, parents)))
         object.__setattr__(self, "transition", transition)
 
     @cached_property
@@ -120,7 +120,7 @@ class DbnModel:
 
     def __init__(self, n0: int, priors: Iterable[float], nodes: Iterable[Stage1Node]):
         object.__setattr__(self, "n0", int(n0))
-        object.__setattr__(self, "priors", tuple(float(p) for p in priors))
+        object.__setattr__(self, "priors", tuple(map(float, priors)))
         object.__setattr__(self, "nodes", tuple(nodes))
 
     @property
@@ -355,43 +355,88 @@ def _f(x: float) -> str:
 
 
 def model_to_json(model: DbnModel) -> str:
-    parts = ['{"n0": %d, "priors": [%s], "nodes": [' % (model.n0, ", ".join(map(_f, model.priors)))]
-    node_texts = []
-    for node in model.nodes:
-        node_texts.append(
-            '{"parents": [%s], "transition": {"kind": "%s", "values": [%s]}}'
-            % (
-                ", ".join(str(p) for p in node.parents),
-                node.transition.kind,
-                ", ".join(map(_f, node.transition.values)),
-            )
+    unique, slots = model.node_table
+    texts = [
+        '{"parents": [%s], "transition": {"kind": "%s", "values": [%s]}}'
+        % (
+            ", ".join(map(str, node.parents)),
+            node.transition.kind,
+            ", ".join(map(_f, node.transition.values)),
         )
-    parts.append(", ".join(node_texts))
-    parts.append("]}")
-    return "".join(parts) + "\n"
+        for _, node in unique
+    ]
+    return '{"n0": %d, "priors": [%s], "nodes": [%s]}\n' % (
+        model.n0,
+        ", ".join(map(_f, model.priors)),
+        ", ".join(map(texts.__getitem__, slots.tolist())),
+    )
+
+
+def _json_int(token: str):
+    # json reads "-0", which the writer emits for -0.0, as the int 0.
+    return -0.0 if token == "-0" else int(token)
+
+
+_NUMBER_TYPES = frozenset((int, float))
+
+
+def _spec_error(what: str, i: int | None = None) -> ValidationError:
+    where = "" if i is None else f"node {i}: "
+    return ValidationError("spec_invalid", f"malformed model document: {where}{what}", node=i)
+
+
+def _array(value, item_types: frozenset, what: str, i: int | None = None) -> list:
+    """``value`` if it is a JSON array whose items all have one of ``item_types``."""
+    if type(value) is not list or not item_types.issuperset(map(type, value)):
+        raise _spec_error(what, i)
+    return value
 
 
 def model_from_json(text: str) -> DbnModel:
+    """Read a model file, building one :class:`Stage1Node` per distinct entry.
+
+    Entries whose parents, kind and values convert to the same bits share one
+    node object, as constructed families do, so ``node_table`` and all work
+    keyed on it stay as small as the model's distinct nodes; -0.0 and 0.0 stay
+    apart and NaN never matches.  Every entry is type-checked: ``n0`` and
+    parents must be integral (1.0 is, ``true`` is not), priors and values
+    numbers, and each of them an array; anything else is ``spec_invalid``.
+    """
     try:
-        doc = json.loads(text)
-        n0 = int(doc["n0"])
-        priors = [float(p) for p in doc["priors"]]
+        # The hook costs a Python call per integer; only a minus sign can need it.
+        doc = json.loads(text, parse_int=_json_int) if "-" in text else json.loads(text)
+        n0 = doc["n0"]
+        if not is_integral(n0):
+            raise _spec_error(f"n0 must be an integer, got {n0!r}")
+        priors = _array(doc["priors"], _NUMBER_TYPES, "priors must be an array of numbers")
+        entries = _array(doc["nodes"], frozenset((dict,)), "nodes must be an array of objects")
+        shared: dict[tuple, Stage1Node] = {}
         nodes = []
-        for entry in doc["nodes"]:
+        for i, entry in enumerate(entries):
+            parents = entry["parents"]
+            if type(parents) is not list or not (
+                {int}.issuperset(map(type, parents)) or all(map(is_integral, parents))
+            ):
+                raise _spec_error("parents must be an array of integers", i)
             kind = entry["transition"]["kind"]
             if kind not in KINDS:
                 raise ValidationError("kind_invalid", f"unknown transition kind {kind!r}")
-            nodes.append(
-                Stage1Node(
-                    [int(p) for p in entry["parents"]],
-                    Transition(kind, [float(v) for v in entry["transition"]["values"]]),
-                )
+            values = _array(
+                entry["transition"]["values"], _NUMBER_TYPES, "values must be an array of numbers", i
             )
+            floats = np.array(values, dtype=float)
+            key = (tuple(parents), kind, floats.tobytes())
+            node = shared.get(key)
+            if node is None:
+                node = Stage1Node(parents, Transition(kind, values))
+                if not np.isnan(floats).any():
+                    shared[key] = node
+            nodes.append(node)
+        return DbnModel(n0, priors, nodes)
     except ValidationError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError("spec_invalid", f"malformed model document: {exc}") from exc
-    return DbnModel(n0, priors, nodes)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise _spec_error(str(exc)) from exc
 
 
 def save_model(model: DbnModel, path) -> None:

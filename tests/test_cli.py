@@ -275,6 +275,48 @@ def _unknown_transition_kind(tmp_path, capsys):
     return ["attack", "--model", str(path), "--x0", "1", "--algorithm", "heuristic", "--k", "1"]
 
 
+def _attack_model_doc(tmp_path, n0=2, priors=(0.5, 0.5), parents=(0, 1), values=(0.0, 0.5, 1.0)):
+    doc = {
+        "n0": n0,
+        "priors": priors,
+        "nodes": [{"parents": parents, "transition": {"kind": "additive", "values": values}}],
+    }
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return ["attack", "--model", str(path), "--x0", "1,0", "--algorithm", "heuristic", "--k", "1"]
+
+
+def _string_parents(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, parents="01")
+
+
+def _string_values(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, values="11")
+
+
+def _bool_parent(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, parents=(0, True))
+
+
+def _fractional_parent(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, parents=(0, 1.7))
+
+
+def _fractional_n0(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, n0=2.9)
+
+
+def _string_prior(tmp_path, capsys):
+    return _attack_model_doc(tmp_path, priors=("0.5", 0.5))
+
+
+def _fractional_sweep_k(tmp_path, capsys):
+    cfg_path, cfg = sweep_config(tmp_path, k=2.5)
+    del cfg["k_fraction"]
+    cfg_path.write_text(json.dumps(cfg))
+    return ["sweep", "--config", str(cfg_path)]
+
+
 # The error code each malformed input reports; spec_invalid when not listed.
 MALFORMED_CODES = {_unknown_transition_kind: "kind_invalid"}
 
@@ -287,6 +329,13 @@ MALFORMED_CODES = {_unknown_transition_kind: "kind_invalid"}
         _non_integer_x0,
         _sweep_without_family,
         _unknown_transition_kind,
+        _string_parents,
+        _string_values,
+        _bool_parent,
+        _fractional_parent,
+        _fractional_n0,
+        _string_prior,
+        _fractional_sweep_k,
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, make_argv):

@@ -13,16 +13,16 @@ import pytest
 from halftruth import (
     FLIP,
     HIDE,
+    DbnModel,
     Evaluator,
     GenSpec,
     Mask,
+    Stage1Node,
     disagreement,
     gen_theorem1,
     generate,
     induced_posterior,
     lkm_distance,
-    model_from_json,
-    model_to_json,
     true_posterior,
 )
 from halftruth.simulate import draw_realization, realization_rng
@@ -105,8 +105,11 @@ def test_climb_step_recomputes_only_children():
 
 
 def test_dense_parents_recompute_every_node():
-    # Loaded from JSON, every node is its own object with all 12 parents.
-    model = model_from_json(model_to_json(gen_theorem1(12)))
+    # Every node its own object with all 12 parents.
+    shared = gen_theorem1(12)
+    model = DbnModel(
+        shared.n0, shared.priors, [Stage1Node(n.parents, n.transition) for n in shared.nodes]
+    )
     x0 = [0, 1] * 6
     masks = [[1], [1, 3], [0, 5, 11], []]
     evaluate = Evaluator(model, x0, 2)

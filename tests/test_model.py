@@ -4,14 +4,18 @@ import numpy as np
 import pytest
 
 from halftruth import (
+    FAMILIES,
     DbnModel,
+    GenSpec,
     Mask,
     Stage1Node,
     Transition,
     ValidationError,
     additive,
     additive_to_general,
+    gen_theorem1,
     general,
+    generate,
     linear,
     model_from_json,
     model_to_json,
@@ -189,6 +193,119 @@ def test_validate_rejects_unknown_kind():
     with pytest.raises(ValidationError) as err:
         validate_model(one_node(Transition("spline", [0.5] * 8)))
     assert err.value.code == "kind_invalid"
+
+
+def model_doc(n0="2", priors="[0.5, 0.5]", parents=("[0, 1]",), values=("[0.0, 0.5, 1.0]",)):
+    """A model file with one additive entry per (parents, values) pair."""
+    entries = ", ".join(
+        '{"parents": %s, "transition": {"kind": "additive", "values": %s}}' % pv
+        for pv in zip(parents, values)
+    )
+    return '{"n0": %s, "priors": %s, "nodes": [%s]}' % (n0, priors, entries)
+
+
+def unshared(model):
+    """The same model with every position its own node object."""
+    return DbnModel(
+        model.n0, model.priors, [Stage1Node(n.parents, n.transition) for n in model.nodes]
+    )
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"parents": ('"01"',)},
+        {"values": ('"11"',)},
+        {"parents": ("[0, true]",)},
+        {"parents": ("[0, 1.7]",)},
+        {"n0": "2.9"},
+        {"n0": "true"},
+        {"priors": '["0.5", 0.5]'},
+        {"priors": "[true, 0.5]"},
+        {"priors": '"55"'},
+        {"values": ("[0.0, false, 1.0]",)},
+        {"values": ('[0.0, "0.5", 1.0]',)},
+        {"values": ("[0.0, 0.5, 1%s]" % ("0" * 400),)},
+        # The second entry equals the first as Python values (True == 1), so
+        # it would share the first node; it is still checked.
+        {"parents": ("[0, 1]", "[0, true]"), "values": ("[0.0, 0.5, 1.0]",) * 2},
+    ],
+    ids=[
+        "string_parents",
+        "string_values",
+        "bool_parent",
+        "fractional_parent",
+        "fractional_n0",
+        "bool_n0",
+        "string_prior",
+        "bool_prior",
+        "string_priors",
+        "bool_value",
+        "string_value",
+        "value_too_large",
+        "bool_parent_in_a_shared_entry",
+    ],
+)
+def test_json_reader_rejects_wrong_types(fields):
+    with pytest.raises(ValidationError) as err:
+        model_from_json(model_doc(**fields))
+    assert err.value.code == "spec_invalid"
+
+
+def test_json_reader_keeps_integral_floats():
+    text = model_doc(n0="2.0", parents=("[0, 1.0]",), values=("[0, 0.5, 1]",))
+    model = model_from_json(text)
+    assert model == model_from_json(model_doc())
+    assert model.n0 == 2 and type(model.n0) is int
+    assert all(type(j) is int for j in model.nodes[0].parents)
+    assert all(type(v) is float for v in model.nodes[0].transition.values)
+
+
+def test_json_reader_shares_identical_entries():
+    generated = gen_theorem1(50)
+    model = model_from_json(model_to_json(generated))
+    assert len(model.node_table[0]) == 1
+    assert model == generated
+
+
+def test_json_reader_shares_only_identical_bits():
+    # -0.0 and 0.0 compare equal but are written differently.
+    text = model_doc(
+        parents=("[0, 1]",) * 4,
+        values=("[-0.0, 0.5, 1.0]", "[0.0, 0.5, 1.0]", "[-0.0, 0.5, 1.0]", "[0, 0.5, 1]"),
+    )
+    model = model_from_json(text)
+    assert len(model.node_table[0]) == 2
+    assert model.nodes[0] is model.nodes[2] and model.nodes[1] is model.nodes[3]
+    written = model_to_json(model)
+    assert '"values": [-0, 0.5, 1]' in written
+    assert model_to_json(model_from_json(written)) == written
+
+
+def test_json_reader_never_shares_nan():
+    model = model_from_json(model_doc(parents=("[0, 1]",) * 2, values=("[NaN, 0.5, 1.0]",) * 2))
+    assert model.nodes[0] is not model.nodes[1]
+
+
+def test_validation_reports_first_position_of_a_shared_node():
+    text = model_doc(
+        parents=("[0, 1]",) * 3, values=("[0.0, 0.5, 1.0]", "[0.0, 1.5, 1.0]", "[0.0, 1.5, 1.0]")
+    )
+    model = model_from_json(text)
+    assert model.nodes[1] is model.nodes[2]
+    with pytest.raises(ValidationError) as err:
+        validate_model(model)
+    assert err.value.code == "probability_out_of_range" and err.value.node == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_json_round_trip_every_family(family):
+    spec = GenSpec(family=family, n0=8, edge_density=0.4, monotone=True, seed=5, eps=0.05)
+    model = generate(spec)
+    text = model_to_json(model)
+    assert model_to_json(model_from_json(text)) == text
+    # Writing each distinct node once gives the bytes of writing every position.
+    assert model_to_json(unshared(model)) == text
 
 
 def test_monotone_direction_scan():

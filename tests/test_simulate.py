@@ -18,6 +18,8 @@ from halftruth import (
     lkm_distance,
     induced_posterior,
     make_algorithm_policy,
+    model_from_json,
+    model_to_json,
     oracle_policy,
     run_expectation,
     run_sampled_distance,
@@ -59,6 +61,19 @@ def test_expectation_reproducible_bit_exact():
     )
     a, b = run_expectation(config), run_expectation(config)
     assert a.mean == b.mean and a.se == b.se and a.values == b.values
+
+
+@pytest.mark.parametrize("n", [50, 200])
+def test_oracle_means_same_bits_on_loaded_model(n):
+    generated = gen_theorem1(n)
+    loaded = model_from_json(model_to_json(generated))
+    means = [
+        run_expectation(
+            SimConfig(model=m, policy=oracle_policy, budget=n, p=1, trials=200, seed=n)
+        ).mean
+        for m in (generated, loaded)
+    ]
+    assert means[0] == means[1]
 
 
 def test_expectation_matches_closed_form_small_n():
