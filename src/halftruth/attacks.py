@@ -31,7 +31,7 @@ import numpy as np
 
 # induced_posterior is not called here, but stays importable from this module
 # by name: perfbench/selftest.py checks that the tracer patches it here.
-from .inference import Evaluator, check_norm, induced_posterior, true_posterior
+from .inference import Evaluator, check_norm, check_target, induced_posterior, true_posterior
 from .model import (
     ADDITIVE,
     FLIP,
@@ -40,8 +40,8 @@ from .model import (
     DbnModel,
     Mask,
     ValidationError,
+    check_integer,
     check_realization,
-    is_integral,
 )
 
 BRUTE_FORCE_LIMIT = 10**7
@@ -63,22 +63,13 @@ class AttackProblem:
     def __init__(self, model, x0, budget, p=1, action=HIDE, target=None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "x0", check_realization(model, x0))
-        if not is_integral(budget) or budget < 0:
-            raise ValidationError(
-                "spec_invalid", f"budget must be a nonnegative integer: {budget!r}"
-            )
-        object.__setattr__(self, "budget", min(int(budget), model.n0))
+        object.__setattr__(self, "budget", min(check_integer(budget, 0, "budget"), model.n0))
         object.__setattr__(self, "p", check_norm(p))
         if action not in (HIDE, FLIP):
             raise ValidationError("wrong_action", f"unknown action {action!r}")
         object.__setattr__(self, "action", action)
         if target is not None:
-            target = tuple(float(t) for t in target)
-            if len(target) != model.n1:
-                raise ValidationError(
-                    "length_mismatch",
-                    f"target has length {len(target)}, expected {model.n1}",
-                )
+            target = tuple(check_target(model, target).tolist())
         object.__setattr__(self, "target", target)
 
     def evaluator(self) -> Evaluator:
@@ -149,6 +140,28 @@ def _require(problem: AttackProblem, action: str, caller: str) -> None:
         )
 
 
+# Per-node solver preconditions: error code -> (what every node needs, its test).
+_NODE_RULES = {
+    "non_monotone_transition": (
+        "monotone additive transitions",
+        lambda t: t.kind == ADDITIVE and t.monotone_direction(),
+    ),
+    "non_additive_transition": ("additive transitions", lambda t: t.kind == ADDITIVE),
+    "non_linear_transition": ("linear transitions", lambda t: t.kind == LINEAR),
+}
+
+
+def _require_nodes(problem: AttackProblem, code: str, caller: str) -> list:
+    """The rule's test of every node's transition, in node order; ``code`` at the first miss."""
+    need, test = _NODE_RULES[code]
+    results = []
+    for i, node in enumerate(problem.model.nodes):
+        results.append(test(node.transition))
+        if not results[-1]:
+            raise ValidationError(code, f"node {i}: {caller} requires {need}", node=i)
+    return results
+
+
 def approx_attack(problem: AttackProblem) -> AttackResult:
     """Per-node greedy hiding for monotone additive transitions.
 
@@ -160,16 +173,7 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
     what makes this an n-approximation.
     """
     _require(problem, HIDE, "approx_attack")
-    directions = []
-    for i, node in enumerate(problem.model.nodes):
-        direction = node.transition.monotone_direction() if node.transition.kind == ADDITIVE else None
-        if direction is None:
-            raise ValidationError(
-                "non_monotone_transition",
-                f"node {i}: approx_attack needs a monotone additive transition",
-                node=i,
-            )
-        directions.append(direction)
+    directions = _require_nodes(problem, "non_monotone_transition", "approx_attack")
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
@@ -248,13 +252,7 @@ def combined_attack(problem: AttackProblem) -> AttackResult:
 def _require_linear(problem: AttackProblem, caller: str) -> None:
     if problem.p != 1:
         raise ValidationError("wrong_norm", f"{caller} requires p=1, got {problem.p}")
-    for i, node in enumerate(problem.model.nodes):
-        if node.transition.kind != LINEAR:
-            raise ValidationError(
-                "non_linear_transition",
-                f"node {i}: {caller} requires linear transitions",
-                node=i,
-            )
+    _require_nodes(problem, "non_linear_transition", caller)
 
 
 def linear_gains(problem: AttackProblem) -> np.ndarray:
@@ -325,13 +323,7 @@ def flip_approx_attack(problem: AttackProblem) -> AttackResult:
     """
     _require(problem, FLIP, "flip_approx_attack")
     model, bits, k = problem.model, problem.x0, problem.budget
-    for i, node in enumerate(model.nodes):
-        if node.transition.kind != ADDITIVE:
-            raise ValidationError(
-                "non_additive_transition",
-                f"node {i}: flip_approx_attack requires additive transitions",
-                node=i,
-            )
+    _require_nodes(problem, "non_additive_transition", "flip_approx_attack")
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())

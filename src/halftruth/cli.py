@@ -3,7 +3,10 @@
 Subcommands: ``gen`` (write a model file), ``attack`` (solve one instance),
 ``eval`` (score a given mask), ``sweep`` (algorithm-comparison grid to CSV),
 ``simulate`` (Monte Carlo expected utility).  Exit codes: 0 success, 2 invalid
-input or violated precondition, 3 I/O failure.
+input or violated precondition, 3 I/O failure.  Seeds are integers >= 0 and
+``--target`` marginals lie in [0, 1].  A sweep config is read once, with the
+model file's JSON type rules; unknown keys are rejected, and ``"p"`` is an
+integer or ``"inf"``.
 
 Sweep output is deterministic for a given config: rows are ordered by n, then
 algorithm list order, then trial index, and every row can be replayed from its
@@ -35,7 +38,10 @@ from .model import (
     FLIP,
     Mask,
     ValidationError,
-    is_integral,
+    check_integer,
+    format_float,
+    json_array,
+    json_value,
     load_model,
     save_model,
     validate_model,
@@ -67,10 +73,6 @@ def _parse_csv(text: str, convert) -> list:
         raise ValidationError("spec_invalid", f"not a comma-separated list: {text!r}") from None
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _resolve_x0(args, model) -> tuple[int, ...]:
     given = [args.x0 is not None, args.x0_file is not None, args.x0_seed is not None]
     if sum(given) != 1:
@@ -83,6 +85,14 @@ def _resolve_x0(args, model) -> tuple[int, ...]:
         with open(args.x0_file, "r", encoding="utf-8") as fh:
             return tuple(_parse_csv(fh.read().replace("\n", ",").replace(" ", ","), int))
     return draw_realization(model, realization_rng(args.x0_seed))
+
+
+def _load_instance(args):
+    """The validated model, realization and target that ``attack`` and ``eval`` read."""
+    model = load_model(args.model)
+    validate_model(model)
+    x0 = _resolve_x0(args, model)
+    return model, x0, tuple(_parse_csv(args.target, float)) if args.target else None
 
 
 def cmd_gen(args) -> int:
@@ -103,10 +113,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    model = load_model(args.model)
-    validate_model(model)
-    x0 = _resolve_x0(args, model)
-    target = tuple(_parse_csv(args.target, float)) if args.target else None
+    model, x0, target = _load_instance(args)
     problem = AttackProblem(model, x0, args.k, _parse_p(args.p), args.action, target)
     if args.algorithm == "random":
         seed = args.seed if args.seed is not None else args.x0_seed
@@ -130,10 +137,7 @@ def cmd_attack(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    model = load_model(args.model)
-    validate_model(model)
-    x0 = _resolve_x0(args, model)
-    target = tuple(_parse_csv(args.target, float)) if args.target else None
+    model, x0, target = _load_instance(args)
     mask = Mask(_parse_csv(args.mask, int), args.action)
     value = objective_value(model, x0, mask, _parse_p(args.p), target)
     print(json.dumps({"mask": list(mask.indices), "value": value}))
@@ -160,53 +164,86 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _sweep_budget(cfg: dict, n: int) -> int:
-    if "k" in cfg:
-        if not is_integral(cfg["k"]):
-            raise ValidationError("spec_invalid", f"sweep k must be an integer: {cfg['k']!r}")
-        return int(cfg["k"])
-    if "k_fraction" in cfg:
-        frac = float(cfg["k_fraction"])
-        if not 0.0 < frac <= 1.0:
-            raise ValidationError("spec_invalid", f"k_fraction {frac} not in (0, 1]")
-        return max(1, math.ceil(frac * n))
+# Every sweep-config key with its JSON type rule ("integers" and "strings" are
+# arrays) and its default.  "family" has none: GenSpec rejects a missing one.
+_SWEEP_KEYS = {
+    "family": ("string", None),
+    "ns": ("integers", []),
+    "algorithms": ("strings", []),
+    "k": ("integer", None),
+    "k_fraction": ("number", None),
+    "p": ("integer", 1),
+    "action": ("string", HIDE),
+    "trials": ("integer", 1),
+    "seed": ("integer", 0),
+    "density": ("number", 0.5),
+    "monotone": ("boolean", False),
+    "eps": ("number", 0.01),
+    "timing": ("boolean", False),
+    "out": ("string", "sweep.csv"),
+}
+
+
+def _read_sweep(doc) -> argparse.Namespace:
+    """Every sweep-config key, type-checked once, with its default; integers as int.
+
+    Ranges are left to the code that uses each value: ``GenSpec`` (family, sizes,
+    density, seeds), ``AttackProblem`` (k, p, action), ``solve`` (algorithms).
+    """
+    if type(doc) is not dict:
+        raise ValidationError("spec_invalid", "sweep config must be a JSON object")
+    unknown = sorted(set(doc) - set(_SWEEP_KEYS))
+    if unknown:
+        raise ValidationError("spec_invalid", f"unknown sweep config keys: {unknown}")
+    sweep = argparse.Namespace()
+    for key, (rule, default) in _SWEEP_KEYS.items():
+        value, what = doc.get(key, default), f"sweep key {key!r}"
+        if key == "p" and value == "inf":
+            value = math.inf
+        elif key in doc and rule.endswith("s"):
+            value = [json_value(v, rule[:-1], what) for v in json_array(value, rule[:-1], what)]
+        elif key in doc:
+            value = json_value(value, rule, what)
+        setattr(sweep, key, value)
+    check_integer(sweep.trials, 1, "sweep key 'trials'")
+    if not sweep.ns or not sweep.algorithms:
+        raise ValidationError("spec_invalid", "sweep config needs nonempty 'ns' and 'algorithms'")
+    return sweep
+
+
+def _sweep_budget(sweep, n: int) -> int:
+    """``"k"`` if given, else ``"k_fraction"`` of n rounded up, else ceil(n/10)."""
+    if sweep.k is not None:
+        return sweep.k
+    if sweep.k_fraction is not None:
+        if not 0.0 < sweep.k_fraction <= 1.0:
+            raise ValidationError("spec_invalid", f"k_fraction {sweep.k_fraction} not in (0, 1]")
+        return max(1, math.ceil(sweep.k_fraction * n))
     return math.ceil(n / 10)
 
 
-def _sweep_instance(cfg: dict, n: int, seed: int):
-    family = cfg["family"]
-    spec = GenSpec(
-        family=family,
-        n0=n,
-        edge_density=float(cfg.get("density", 0.5)),
-        monotone=bool(cfg.get("monotone", False)),
-        seed=seed,
-        eps=float(cfg.get("eps", 0.01)),
-    )
+def _solve_cell(sweep, n: int, trial: int):
+    seed = derive_seed(sweep.seed, n, trial)
+    k = _sweep_budget(sweep, n)
+    spec = GenSpec(sweep.family, n, monotone=sweep.monotone, seed=seed, eps=sweep.eps,
+                   edge_density=sweep.density)
     model = generate(spec)
     # The two-block adversarial family is built around the all-zero draw.
-    if family == "heuristic_adversarial":
+    if sweep.family == "heuristic_adversarial":
         x0 = (0,) * model.n0
     else:
         x0 = draw_realization(model, realization_rng(seed))
-    return model, x0
-
-
-def _solve_cell(cfg: dict, n: int, trial: int, master_seed: int, p, action: str, timing: bool):
-    seed = derive_seed(master_seed, n, trial)
-    k = _sweep_budget(cfg, n)
-    model, x0 = _sweep_instance(cfg, n, seed)
-    problem = AttackProblem(model, x0, k, p, action)
+    problem = AttackProblem(model, x0, k, sweep.p, sweep.action)
     masks = sum(math.comb(model.n0, m) for m in range(problem.budget + 1))
     opt = brute_force_attack(problem).value if masks <= BRUTE_FORCE_LIMIT else None
     per_alg = {}
-    for alg in cfg["algorithms"]:
+    for alg in sweep.algorithms:
         start = time.perf_counter()
         if alg == "random":
             result = solve(problem, alg, seed=baseline_seed(seed))
         else:
             result = solve(problem, alg)
-        wall = int(round((time.perf_counter() - start) * 1000)) if timing else None
+        wall = int(round((time.perf_counter() - start) * 1000)) if sweep.timing else None
         per_alg[alg] = (result.value, wall)
     return seed, k, opt, per_alg
 
@@ -214,42 +251,26 @@ def _solve_cell(cfg: dict, n: int, trial: int, master_seed: int, p, action: str,
 def cmd_sweep(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         try:
-            cfg = json.load(fh)
+            sweep = _read_sweep(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValidationError("spec_invalid", f"malformed sweep config: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError("spec_invalid", "sweep config must be a JSON object")
-    ns = [int(n) for n in cfg.get("ns", [])]
-    algorithms = list(cfg.get("algorithms", []))
-    if not ns or not algorithms:
-        raise ValidationError("spec_invalid", "sweep config needs nonempty 'ns' and 'algorithms'")
-    trials = int(cfg.get("trials", 1))
-    master_seed = int(cfg.get("seed", 0))
-    p = _parse_p(str(cfg.get("p", 1)))
-    action = cfg.get("action", HIDE)
-    timing = bool(cfg.get("timing", False))
-    out = cfg.get("out", "sweep.csv")
-    family = cfg.get("family")
-    if family not in FAMILIES:
-        raise ValidationError("spec_invalid", f"unknown or missing family {family!r}")
-
-    p_text = "inf" if p == math.inf else str(p)
+    p_text = "inf" if sweep.p == math.inf else str(sweep.p)
     lines = ["family,n,k,p,algorithm,trial,seed,value,opt_value,ratio,wall_ms"]
-    for n in ns:
-        cells = [_solve_cell(cfg, n, t, master_seed, p, action, timing) for t in range(trials)]
-        for alg in algorithms:
+    for n in sweep.ns:
+        cells = [_solve_cell(sweep, n, t) for t in range(sweep.trials)]
+        for alg in sweep.algorithms:
             for t, (seed, k, opt, per_alg) in enumerate(cells):
                 value, wall = per_alg[alg]
-                opt_text = _fmt(opt) if opt is not None else ""
-                ratio_text = _fmt(value / opt) if opt else ""
+                opt_text = format_float(opt) if opt is not None else ""
+                ratio_text = format_float(value / opt) if opt else ""
                 wall_text = str(wall) if wall is not None else ""
                 lines.append(
-                    f"{family},{n},{k},{p_text},{alg},{t},{seed},"
-                    f"{_fmt(value)},{opt_text},{ratio_text},{wall_text}"
+                    f"{sweep.family},{n},{k},{p_text},{alg},{t},{seed},"
+                    f"{format_float(value)},{opt_text},{ratio_text},{wall_text}"
                 )
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with open(sweep.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {out}: {len(lines) - 1} rows")
+    print(f"wrote {sweep.out}: {len(lines) - 1} rows")
     return 0
 
 

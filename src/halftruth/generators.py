@@ -28,6 +28,7 @@ from .model import (
     Stage1Node,
     ValidationError,
     additive,
+    check_integer,
     general,
     linear,
 )
@@ -64,8 +65,10 @@ class GenSpec:
             raise ValidationError(
                 "spec_invalid", f"edge density {self.edge_density} not in [0, 1]"
             )
-        if self.n1 is None:
-            object.__setattr__(self, "n1", self.n0)
+        n1 = self.n0 if self.n1 is None else self.n1
+        object.__setattr__(self, "n0", check_integer(self.n0, 1, "n0"))
+        object.__setattr__(self, "n1", check_integer(n1, 1, "n1"))
+        object.__setattr__(self, "seed", check_integer(self.seed, 0, "seed"))
         if self.family in ("theorem1", "heuristic_adversarial") and self.n1 != self.n0:
             raise ValidationError("spec_invalid", f"{self.family} requires n1 = n0")
 

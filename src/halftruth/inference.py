@@ -48,6 +48,23 @@ def check_norm(p) -> float | int:
     raise ValidationError("wrong_norm", f"norm exponent must be a positive integer or inf: {p!r}")
 
 
+def check_target(model: DbnModel, target: Sequence[float]) -> np.ndarray:
+    """Target marginals as floats: one per stage-1 node, each in [0, 1]."""
+    t = np.asarray(target, dtype=float)
+    if t.shape != (model.n1,):
+        raise ValidationError(
+            "length_mismatch", f"target has length {t.size}, expected {model.n1}"
+        )
+    return _check_unit(t, "target marginals")
+
+
+def _check_unit(a: np.ndarray, what: str) -> np.ndarray:
+    # Written so that NaN fails the check.
+    if not np.all((a >= 0.0) & (a <= 1.0)):
+        raise ValidationError("probability_out_of_range", f"{what} must lie in [0, 1]")
+    return a
+
+
 def true_posterior(model: DbnModel, x0: Realization) -> np.ndarray:
     """Stage-1 marginals given the full realization."""
     return induced_posterior(model, x0, Mask((), FLIP))
@@ -212,12 +229,7 @@ def lkm_distance(d: Sequence[float], p) -> float:
     finite p >= 2 goes through the Poisson-binomial count distribution.
     """
     p = check_norm(p)
-    da = np.asarray(d, dtype=float).reshape(1, -1)
-    # Written so that NaN fails the check.
-    if not np.all((da >= 0.0) & (da <= 1.0)):
-        raise ValidationError(
-            "probability_out_of_range", "disagreement probabilities must lie in [0, 1]"
-        )
+    da = _check_unit(np.asarray(d, dtype=float).reshape(1, -1), "disagreement probabilities")
     return _distances(da, p)[0]
 
 
@@ -281,12 +293,8 @@ class Evaluator:
             self._ref = true
             self._sign = 1.0
         else:
-            self._ref = np.asarray(target, dtype=float)
+            self._ref = check_target(model, target)
             self._sign = -1.0
-            if self._ref.size != model.n1:
-                raise ValidationError(
-                    "length_mismatch", f"target has length {self._ref.size}, expected {model.n1}"
-                )
 
     def __call__(self, indices: Iterable[int]) -> float:
         """Score one mask, which becomes the base."""

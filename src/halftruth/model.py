@@ -202,6 +202,13 @@ def is_integral(x) -> bool:
     return isinstance(x, (float, np.floating)) and float(x).is_integer()
 
 
+def check_integer(x, least: int, what: str) -> int:
+    """``x`` as an int if it is integral (see :func:`is_integral`) and ``>= least``."""
+    if not is_integral(x) or x < least:
+        raise ValidationError("spec_invalid", f"{what} must be an integer >= {least}: {x!r}")
+    return int(x)
+
+
 def check_realization(model: DbnModel, x0: Realization) -> tuple[int, ...]:
     """Normalize a realization to a tuple of bits, checking length and values."""
     bits = tuple(int(b) for b in x0)
@@ -350,7 +357,7 @@ def additive_to_general(node: Stage1Node) -> Stage1Node:
 # the output is byte-stable across platforms.
 
 
-def _f(x: float) -> str:
+def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
@@ -361,13 +368,13 @@ def model_to_json(model: DbnModel) -> str:
         % (
             ", ".join(map(str, node.parents)),
             node.transition.kind,
-            ", ".join(map(_f, node.transition.values)),
+            ", ".join(map(format_float, node.transition.values)),
         )
         for _, node in unique
     ]
     return '{"n0": %d, "priors": [%s], "nodes": [%s]}\n' % (
         model.n0,
-        ", ".join(map(_f, model.priors)),
+        ", ".join(map(format_float, model.priors)),
         ", ".join(map(texts.__getitem__, slots.tolist())),
     )
 
@@ -377,18 +384,41 @@ def _json_int(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-_NUMBER_TYPES = frozenset((int, float))
+# The JSON type rules of every reader of outside input: the Python types
+# ``json`` gives for each.  An integer may also be an integral float such as
+# 4.0 (see :func:`is_integral`), and a bool is never an integer or a number.
+_JSON_TYPES = {
+    "integer": frozenset((int,)),
+    "number": frozenset((int, float)),
+    "boolean": frozenset((bool,)),
+    "string": frozenset((str,)),
+    "object": frozenset((dict,)),
+}
 
 
 def _spec_error(what: str, i: int | None = None) -> ValidationError:
     where = "" if i is None else f"node {i}: "
-    return ValidationError("spec_invalid", f"malformed model document: {where}{what}", node=i)
+    return ValidationError("spec_invalid", f"{where}{what}", node=i)
 
 
-def _array(value, item_types: frozenset, what: str, i: int | None = None) -> list:
-    """``value`` if it is a JSON array whose items all have one of ``item_types``."""
-    if type(value) is not list or not item_types.issuperset(map(type, value)):
-        raise _spec_error(what, i)
+def json_value(value, rule: str, what: str):
+    """``value`` if it follows the JSON type ``rule``, an integer as int; else ``spec_invalid``."""
+    if type(value) in _JSON_TYPES[rule] or rule == "integer" and is_integral(value):
+        return int(value) if rule == "integer" else value
+    raise _spec_error(f"{what}: expected {rule}, got {value!r}")
+
+
+def json_array(value, rule: str, what: str, i: int | None = None) -> list:
+    """``value`` if it is a JSON array whose items all follow ``rule``; else ``spec_invalid``.
+
+    One pass over the item types; integers take a second only when some item
+    is not an int, as an integral float is.
+    """
+    if type(value) is not list or not (
+        _JSON_TYPES[rule].issuperset(map(type, value))
+        or rule == "integer" and all(map(is_integral, value))
+    ):
+        raise _spec_error(f"{what}: expected an array of {rule}s", i)
     return value
 
 
@@ -398,32 +428,25 @@ def model_from_json(text: str) -> DbnModel:
     Entries whose parents, kind and values convert to the same bits share one
     node object, as constructed families do, so ``node_table`` and all work
     keyed on it stay as small as the model's distinct nodes; -0.0 and 0.0 stay
-    apart and NaN never matches.  Every entry is type-checked: ``n0`` and
-    parents must be integral (1.0 is, ``true`` is not), priors and values
-    numbers, and each of them an array; anything else is ``spec_invalid``.
+    apart and NaN never matches.  Every entry is type-checked by the JSON
+    type rules: ``n0`` and parents must be integers (1.0 is, ``true`` is not),
+    priors and values numbers, and each of them an array; anything else is
+    ``spec_invalid``.
     """
     try:
         # The hook costs a Python call per integer; only a minus sign can need it.
         doc = json.loads(text, parse_int=_json_int) if "-" in text else json.loads(text)
-        n0 = doc["n0"]
-        if not is_integral(n0):
-            raise _spec_error(f"n0 must be an integer, got {n0!r}")
-        priors = _array(doc["priors"], _NUMBER_TYPES, "priors must be an array of numbers")
-        entries = _array(doc["nodes"], frozenset((dict,)), "nodes must be an array of objects")
+        n0 = json_value(doc["n0"], "integer", "model n0")
+        priors = json_array(doc["priors"], "number", "model priors")
+        entries = json_array(doc["nodes"], "object", "model nodes")
         shared: dict[tuple, Stage1Node] = {}
         nodes = []
         for i, entry in enumerate(entries):
-            parents = entry["parents"]
-            if type(parents) is not list or not (
-                {int}.issuperset(map(type, parents)) or all(map(is_integral, parents))
-            ):
-                raise _spec_error("parents must be an array of integers", i)
+            parents = json_array(entry["parents"], "integer", "parents", i)
             kind = entry["transition"]["kind"]
             if kind not in KINDS:
                 raise ValidationError("kind_invalid", f"unknown transition kind {kind!r}")
-            values = _array(
-                entry["transition"]["values"], _NUMBER_TYPES, "values must be an array of numbers", i
-            )
+            values = json_array(entry["transition"]["values"], "number", "values", i)
             floats = np.array(values, dtype=float)
             key = (tuple(parents), kind, floats.tobytes())
             node = shared.get(key)
@@ -436,7 +459,7 @@ def model_from_json(text: str) -> DbnModel:
     except ValidationError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise _spec_error(str(exc)) from exc
+        raise _spec_error(f"malformed model document: {exc}") from exc
 
 
 def save_model(model: DbnModel, path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .attacks import AttackProblem, AttackResult, solve
 from .generators import theorem1_oracle_adversary
 from .inference import induced_posterior, objective_value, true_posterior
-from .model import HIDE, DbnModel, Mask, ValidationError
+from .model import HIDE, DbnModel, Mask, check_integer
 
 # A policy maps (problem, per-trial seed) to a mask; attack solvers are
 # adapted via make_algorithm_policy and ignore the seed unless they sample.
@@ -26,16 +26,17 @@ Policy = Callable[[AttackProblem, object], "Mask | AttackResult"]
 
 
 def derive_seed(master: int, *path: int) -> int:
-    """Stable integer seed for a (master, path...) coordinate."""
-    return int(np.random.SeedSequence([int(master), *map(int, path)]).generate_state(1)[0])
+    """Stable integer seed for a (master, path...) coordinate, all integers >= 0."""
+    entropy = [check_integer(s, 0, "seed") for s in (master, *path)]
+    return int(np.random.SeedSequence(entropy).generate_state(1)[0])
 
 
 def realization_rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng([int(seed), 0])
+    return np.random.default_rng([check_integer(seed, 0, "seed"), 0])
 
 
 def baseline_seed(seed: int) -> list[int]:
-    return [int(seed), 1]
+    return [check_integer(seed, 0, "seed"), 1]
 
 
 def draw_realization(model: DbnModel, rng: np.random.Generator) -> tuple[int, ...]:
@@ -70,8 +71,7 @@ class SimConfig:
     keep_values: bool = False
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValidationError("spec_invalid", f"trials must be >= 1, got {self.trials}")
+        check_integer(self.trials, 1, "trials")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,7 @@ def run_sampled_distance(
     averages the norm of their difference; the mean estimates the analytic
     distance.
     """
-    if trials < 1:
-        raise ValidationError("spec_invalid", f"trials must be >= 1, got {trials}")
+    check_integer(trials, 1, "trials")
     start = time.perf_counter()
     q = true_posterior(model, x0)
     r = induced_posterior(model, x0, mask)

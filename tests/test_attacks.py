@@ -337,6 +337,31 @@ def test_flip_approx_requires_additive():
     assert err.value.code == "non_additive_transition"
 
 
+@pytest.mark.parametrize(
+    "solver, action, p, code",
+    [
+        (approx_attack, "hide", 1, "non_monotone_transition"),
+        (flip_approx_attack, "flip", 1, "non_additive_transition"),
+        (linear_exact_attack, "hide", 1, "non_linear_transition"),
+        (flip_linear_exact_attack, "flip", 1, "non_linear_transition"),
+    ],
+)
+def test_node_preconditions_name_the_first_failing_node(solver, action, p, code):
+    # Node 0 passes every check it meets; node 1 (general) fails them all.
+    fit = linear([0.4]) if "linear" in solver.__name__ else additive([0.1, 0.9])
+    model = DbnModel(1, (0.5,), [Stage1Node((0,), fit), Stage1Node((0,), general([0.2, 0.8]))])
+    with pytest.raises(ValidationError) as err:
+        solver(AttackProblem(model, (1,), 1, p, action))
+    assert (err.value.code, err.value.node) == (code, 1)
+
+
+def test_problem_rejects_out_of_range_target():
+    model = single_informative_parent()
+    with pytest.raises(ValidationError) as err:
+        AttackProblem(model, (0,), 1, 1, "hide", (math.nan,))
+    assert err.value.code == "probability_out_of_range"
+
+
 def test_flip_approx_n_approximation_bound():
     rng = np.random.default_rng(61)
     for _ in range(25):

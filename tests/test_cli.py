@@ -1,6 +1,7 @@
 """Command-line surface: files, exit codes, determinism, replayability."""
 
 import json
+import math
 
 import pytest
 
@@ -12,7 +13,7 @@ from halftruth import (
     objective_value,
     validate_model,
 )
-from halftruth.cli import main
+from halftruth.cli import _read_sweep, _sweep_budget, main
 
 
 def run(capsys, *argv):
@@ -317,8 +318,95 @@ def _fractional_sweep_k(tmp_path, capsys):
     return ["sweep", "--config", str(cfg_path)]
 
 
+def _sweep_with(name, **overrides):
+    """A malformed-input case: the shared sweep config with ``overrides``."""
+
+    def make_argv(tmp_path, capsys):
+        cfg_path, _ = sweep_config(tmp_path, **overrides)
+        return ["sweep", "--config", str(cfg_path)]
+
+    make_argv.__name__ = name
+    return make_argv
+
+
+_sweep_string_in_ns = _sweep_with("_sweep_string_in_ns", ns=["a"])
+_sweep_ns_not_array = _sweep_with("_sweep_ns_not_array", ns=6)
+_sweep_fractional_n = _sweep_with("_sweep_fractional_n", ns=[8.7])
+_sweep_bool_n = _sweep_with("_sweep_bool_n", ns=[True], family="random_additive")
+_sweep_zero_n = _sweep_with("_sweep_zero_n", ns=[0], family="random_additive")
+_sweep_string_density = _sweep_with("_sweep_string_density", density="a")
+_sweep_null_eps = _sweep_with("_sweep_null_eps", eps=None)
+_sweep_string_k_fraction = _sweep_with("_sweep_string_k_fraction", k_fraction="half")
+_sweep_fractional_trials = _sweep_with("_sweep_fractional_trials", trials=1.5)
+_sweep_zero_trials = _sweep_with("_sweep_zero_trials", trials=0)
+_sweep_fractional_seed = _sweep_with("_sweep_fractional_seed", seed=1.5)
+_sweep_negative_seed = _sweep_with("_sweep_negative_seed", seed=-4)
+_sweep_string_monotone = _sweep_with("_sweep_string_monotone", monotone="false")
+_sweep_string_timing = _sweep_with("_sweep_string_timing", timing="no")
+_sweep_string_algorithms = _sweep_with("_sweep_string_algorithms", algorithms="heuristic")
+_sweep_unknown_key = _sweep_with("_sweep_unknown_key", trails=3)
+_sweep_numeric_out = _sweep_with("_sweep_numeric_out", out=2)
+_sweep_string_p = _sweep_with("_sweep_string_p", p="2")
+_sweep_fractional_p = _sweep_with("_sweep_fractional_p", p=2.5)
+_sweep_bool_p = _sweep_with("_sweep_bool_p", p=True)
+_sweep_zero_p = _sweep_with("_sweep_zero_p", p=0)
+
+
+def _gen_negative_n(tmp_path, capsys):
+    return ["gen", "--family", "random_additive", "--n", "-3", "--out", str(tmp_path / "m.json")]
+
+
+def _gen_zero_n(tmp_path, capsys):
+    return ["gen", "--family", "random_additive", "--n", "0", "--n1", "2",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _gen_negative_seed(tmp_path, capsys):
+    return ["gen", "--family", "random_additive", "--n", "4", "--seed", "-1",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _attack_args(tmp_path, capsys, *extra, algorithm="heuristic"):
+    path = write_toy_model(tmp_path, capsys)
+    return ["attack", "--model", str(path), "--algorithm", algorithm, "--k", "1", *extra]
+
+
+def _attack_negative_x0_seed(tmp_path, capsys):
+    return _attack_args(tmp_path, capsys, "--x0-seed", "-1")
+
+
+def _attack_negative_random_seed(tmp_path, capsys):
+    return _attack_args(tmp_path, capsys, "--x0-seed", "1", "--seed", "-1", algorithm="random")
+
+
+def _simulate_negative_seed(tmp_path, capsys):
+    path = write_toy_model(tmp_path, capsys)
+    return ["simulate", "--model", str(path), "--algorithm", "heuristic", "--k", "1",
+            "--trials", "2", "--seed", "-1"]
+
+
+def _nan_target(tmp_path, capsys):
+    return _attack_args(tmp_path, capsys, "--x0-seed", "1", "--target", "nan,0,0,0,0,0")
+
+
+def _target_above_one(tmp_path, capsys):
+    return _attack_args(tmp_path, capsys, "--x0-seed", "1", "--target", "2,0,0,0,0,0")
+
+
+def _eval_target_below_zero(tmp_path, capsys):
+    path = write_toy_model(tmp_path, capsys)
+    return ["eval", "--model", str(path), "--x0-seed", "1", "--mask", "1",
+            "--target=-0.5,0,0,0,0,0"]
+
+
 # The error code each malformed input reports; spec_invalid when not listed.
-MALFORMED_CODES = {_unknown_transition_kind: "kind_invalid"}
+MALFORMED_CODES = {
+    _unknown_transition_kind: "kind_invalid",
+    _sweep_zero_p: "wrong_norm",
+    _nan_target: "probability_out_of_range",
+    _target_above_one: "probability_out_of_range",
+    _eval_target_below_zero: "probability_out_of_range",
+}
 
 
 @pytest.mark.parametrize(
@@ -336,12 +424,64 @@ MALFORMED_CODES = {_unknown_transition_kind: "kind_invalid"}
         _fractional_n0,
         _string_prior,
         _fractional_sweep_k,
+        _sweep_string_in_ns,
+        _sweep_ns_not_array,
+        _sweep_fractional_n,
+        _sweep_bool_n,
+        _sweep_zero_n,
+        _sweep_string_density,
+        _sweep_null_eps,
+        _sweep_string_k_fraction,
+        _sweep_fractional_trials,
+        _sweep_zero_trials,
+        _sweep_fractional_seed,
+        _sweep_negative_seed,
+        _sweep_string_monotone,
+        _sweep_string_timing,
+        _sweep_string_algorithms,
+        _sweep_unknown_key,
+        _sweep_numeric_out,
+        _sweep_string_p,
+        _sweep_fractional_p,
+        _sweep_bool_p,
+        _sweep_zero_p,
+        _gen_negative_n,
+        _gen_zero_n,
+        _gen_negative_seed,
+        _attack_negative_x0_seed,
+        _attack_negative_random_seed,
+        _simulate_negative_seed,
+        _nan_target,
+        _target_above_one,
+        _eval_target_below_zero,
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, make_argv):
-    code, _, err = run(capsys, *make_argv(tmp_path, capsys))
+    code, out, err = run(capsys, *make_argv(tmp_path, capsys))
     assert code == 2
     assert f"error ({MALFORMED_CODES.get(make_argv, 'spec_invalid')})" in err
+    assert out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_read_sweep_defaults_and_types():
+    sweep = _read_sweep({"family": "random_general", "ns": [6, 8.0], "algorithms": ["heuristic"]})
+    assert vars(sweep) == {
+        "family": "random_general", "ns": [6, 8], "algorithms": ["heuristic"], "k": None,
+        "k_fraction": None, "p": 1, "action": "hide", "trials": 1, "seed": 0, "density": 0.5,
+        "monotone": False, "eps": 0.01, "timing": False, "out": "sweep.csv",
+    }
+    assert type(sweep.ns[1]) is int
+    typed = _read_sweep({"ns": [6], "algorithms": ["random"], "p": "inf", "seed": 4.0, "k": 3.0})
+    assert typed.p == math.inf and typed.seed == 4 and type(typed.seed) is int
+    assert typed.k == 3 and type(typed.k) is int
+
+
+def test_sweep_k_wins_over_k_fraction():
+    sweep = _read_sweep({"ns": [10], "algorithms": ["heuristic"], "k": 3, "k_fraction": 0.9})
+    assert _sweep_budget(sweep, 10) == 3
+    sweep.k = None
+    assert _sweep_budget(sweep, 10) == 9
 
 
 def test_attack_targeted_mode(tmp_path, capsys):

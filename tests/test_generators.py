@@ -69,6 +69,25 @@ def test_spec_rejects_unknown_family():
         GenSpec("random_trees", n0=4)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [{"n0": 0}, {"n0": -3}, {"n0": 2.5}, {"n0": True}, {"n1": 0}, {"n0": 0, "n1": 2},
+     {"seed": -1}, {"seed": 1.5}, {"seed": math.nan}],
+)
+def test_spec_rejects_bad_sizes_and_seeds(fields):
+    with pytest.raises(ValidationError) as err:
+        GenSpec("random_additive", **{"n0": 4, **fields})
+    assert err.value.code == "spec_invalid"
+
+
+def test_spec_keeps_integral_floats_and_streams():
+    spec = GenSpec("random_additive", n0=6.0, n1=4.0, seed=7.0)
+    assert (spec.n0, spec.n1, spec.seed) == (6, 4, 7)
+    assert all(type(v) is int for v in (spec.n0, spec.n1, spec.seed))
+    want = generate(GenSpec("random_additive", n0=6, n1=4, seed=7))
+    assert model_to_json(generate(spec)) == model_to_json(want)
+
+
 def test_theorem1_structure_and_priors():
     model = gen_theorem1(2, a=[0, 0], b=[1, 1])
     assert [n.transition.values for n in model.nodes] == [(0.0, 1.0, 1.0)] * 2

@@ -22,7 +22,7 @@ from halftruth import (
     true_posterior,
     validate_model,
 )
-from halftruth.inference import check_norm
+from halftruth.inference import Evaluator, check_norm, check_target
 from oracles import enumerate_hide_posterior, enumerate_lkm, enumerate_lkm_fast, random_model
 
 INF = math.inf
@@ -281,6 +281,27 @@ def test_objective_targeted_deterministic_match_is_zero():
     # deterministic q equal to a deterministic target: distance 0
     model = DbnModel(1, (0.4,), [Stage1Node((0,), additive([0.0, 1.0]))])
     assert objective_value(model, [1], Mask(()), 1, target=(1.0,)) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize("bad", [[math.nan], [2.0], [-0.1], [math.inf]])
+def test_targets_outside_unit_interval_are_rejected(bad):
+    model = DbnModel(1, (0.4,), [Stage1Node((0,), additive([0.0, 1.0]))])
+    for call in (
+        lambda: check_target(model, bad),
+        lambda: objective_value(model, [1], Mask(()), 1, target=bad),
+        lambda: Evaluator(model, [1], 1, target=bad),
+    ):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == "probability_out_of_range"
+
+
+def test_check_target_keeps_the_bounds():
+    model = DbnModel(2, (0.4, 0.5), [Stage1Node((0,), additive([0.0, 1.0]))] * 2)
+    assert check_target(model, (0, 1.0)).tolist() == [0.0, 1.0]
+    with pytest.raises(ValidationError) as err:
+        check_target(model, [[0.5, 0.5]])
+    assert err.value.code == "length_mismatch"
 
 
 def test_objective_targeted_length_check():

@@ -1,0 +1,142 @@
+"""Property tests on small random instances, beside the seeded loops.
+
+Examples are derandomized by the profile in ``conftest.py``, so every run
+draws the same ones.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from halftruth import (
+    ALGORITHMS,
+    FLIP,
+    HIDE,
+    AttackProblem,
+    DbnModel,
+    Evaluator,
+    GenSpec,
+    Mask,
+    Stage1Node,
+    Transition,
+    ValidationError,
+    generate,
+    heuristic_attack,
+    induced_posterior,
+    model_from_json,
+    model_to_json,
+    objective_value,
+    solve,
+)
+
+# These two add up per-index gains, so their value may differ from the
+# objective of their mask by rounding; the acceptance tolerance applies.
+SUMMED_GAINS = {"linear_exact", "flip_linear_exact"}
+NORMS = (1, 2, 3, math.inf)
+
+
+@st.composite
+def instances(draw, max_n0=6):
+    """A generated random-family model, a realization, and an optional target."""
+    family = draw(st.sampled_from(["random_general", "random_additive", "random_linear"]))
+    spec = GenSpec(
+        family,
+        n0=draw(st.integers(2, max_n0)),
+        n1=draw(st.integers(1, 5)),
+        edge_density=draw(st.floats(0.1, 0.9)),
+        monotone=draw(st.booleans()),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    model = generate(spec)
+    x0 = tuple(draw(st.lists(st.integers(0, 1), min_size=model.n0, max_size=model.n0)))
+    unit = st.floats(0.0, 1.0)
+    target = draw(st.none() | st.lists(unit, min_size=model.n1, max_size=model.n1))
+    return model, x0, target
+
+
+def masks_of(model):
+    return st.lists(st.integers(0, model.n0 - 1), max_size=model.n0, unique=True)
+
+
+@settings(max_examples=150)
+@given(
+    instances(),
+    st.integers(0, 3),
+    st.sampled_from(NORMS),
+    st.sampled_from([HIDE, FLIP]),
+    st.integers(0, 2**32 - 1),
+)
+def test_every_solver_scores_its_own_mask_within_budget(instance, k, p, action, seed):
+    model, x0, target = instance
+    problem = AttackProblem(model, x0, k, p, action, target)
+    for name in ALGORITHMS:
+        try:
+            result = solve(problem, name, seed=[seed, 1] if name == "random" else None)
+        except ValidationError:
+            continue  # a precondition the instance does not meet
+        assert len(result.mask) <= k
+        want = objective_value(model, x0, result.mask, p, target)
+        if name in SUMMED_GAINS:
+            assert abs(result.value - want) <= 1e-9
+        else:
+            assert result.value == want
+
+
+@settings(max_examples=100)
+@given(instances(), st.data())
+def test_posteriors_are_probabilities(instance, data):
+    model, x0, _ = instance
+    indices = data.draw(masks_of(model))
+    for action in (HIDE, FLIP):
+        r = induced_posterior(model, x0, Mask(indices, action))
+        assert np.all((r >= 0.0) & (r <= 1.0))
+
+
+@settings(max_examples=100)
+@given(instances(), st.sampled_from(NORMS), st.sampled_from([HIDE, FLIP]))
+def test_heuristic_never_loses_value_as_the_budget_grows(instance, p, action):
+    model, x0, target = instance
+    values = [
+        heuristic_attack(AttackProblem(model, x0, k, p, action, target)).value
+        for k in range(model.n0 + 1)
+    ]
+    assert values == sorted(values)
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    """Arbitrary finite numbers in every kind, with some nodes shared by position."""
+    n0 = draw(st.integers(1, 4))
+    priors = draw(st.lists(finite, min_size=n0, max_size=n0))
+    distinct = []
+    for _ in range(draw(st.integers(1, 3))):
+        parents = draw(st.lists(st.integers(0, n0 - 1), max_size=n0, unique=True))
+        kind = draw(st.sampled_from(["general", "additive", "linear"]))
+        size = {"general": 1 << len(parents), "additive": len(parents) + 1}.get(kind, len(parents))
+        values = draw(st.lists(finite, min_size=size, max_size=size))
+        distinct.append(Stage1Node(parents, Transition(kind, values)))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=5))
+    return DbnModel(n0, priors, [distinct[i] for i in picks])
+
+
+@settings(max_examples=150)
+@given(models())
+def test_model_json_round_trip_is_exact(model):
+    text = model_to_json(model)
+    assert model_to_json(model_from_json(text)) == text
+
+
+@settings(max_examples=100)
+@given(instances(max_n0=8), st.sampled_from(NORMS), st.sampled_from([HIDE, FLIP]), st.data())
+def test_batch_equals_one_at_a_time_calls(instance, p, action, data):
+    model, x0, target = instance
+    masks = data.draw(st.lists(masks_of(model), min_size=1, max_size=8))
+    base = data.draw(masks_of(model))
+    batched = Evaluator(model, x0, p, action, target).batch(masks, base=base)
+    single = Evaluator(model, x0, p, action, target)
+    assert batched == [single(mask) for mask in masks]

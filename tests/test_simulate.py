@@ -26,6 +26,7 @@ from halftruth import (
     theorem1_closed_form,
     true_posterior,
 )
+from halftruth.simulate import baseline_seed, derive_seed, realization_rng
 from oracles import random_model
 
 
@@ -128,3 +129,23 @@ def test_sim_report_json_shape():
 def test_trials_must_be_positive():
     with pytest.raises(ValidationError):
         SimConfig(model=gen_theorem1(4), policy=empty_policy, budget=1, trials=0)
+
+
+@pytest.mark.parametrize("seed", [-1, -4, 1.5, math.nan, True])
+def test_seed_helpers_reject_bad_seeds(seed):
+    for call in (lambda: derive_seed(seed, 1), lambda: derive_seed(0, seed),
+                 lambda: realization_rng(seed), lambda: baseline_seed(seed)):
+        with pytest.raises(ValidationError) as err:
+            call()
+        assert err.value.code == "spec_invalid"
+
+
+def test_seed_helpers_keep_their_streams():
+    for master, path in [(0, (1, 0)), (13, (8, 1)), (2**40, ()), (7.0, (3.0,))]:
+        entropy = [int(master), *map(int, path)]
+        want = int(np.random.SeedSequence(entropy).generate_state(1)[0])
+        assert derive_seed(master, *path) == want
+    for seed in (0, 5, 2**63):
+        got = realization_rng(seed).random(8)
+        assert np.array_equal(got, np.random.default_rng([seed, 0]).random(8))
+        assert baseline_seed(seed) == [seed, 1]
