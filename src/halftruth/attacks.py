@@ -49,6 +49,17 @@ BRUTE_FORCE_LIMIT = 10**7
 BATCH_SIZE = 256
 
 
+def check_budget(budget) -> int:
+    """A mask budget as an int: any integer >= 0 (capped at n0 by the problem)."""
+    return check_integer(budget, 0, "budget")
+
+
+def check_action(action: str) -> str:
+    if action not in (HIDE, FLIP):
+        raise ValidationError("wrong_action", f"unknown action {action!r}")
+    return action
+
+
 @dataclass(frozen=True)
 class AttackProblem:
     """One attack instance: model, realization, budget, norm, mode, action."""
@@ -63,11 +74,9 @@ class AttackProblem:
     def __init__(self, model, x0, budget, p=1, action=HIDE, target=None):
         object.__setattr__(self, "model", model)
         object.__setattr__(self, "x0", check_realization(model, x0))
-        object.__setattr__(self, "budget", min(check_integer(budget, 0, "budget"), model.n0))
+        object.__setattr__(self, "budget", min(check_budget(budget), model.n0))
         object.__setattr__(self, "p", check_norm(p))
-        if action not in (HIDE, FLIP):
-            raise ValidationError("wrong_action", f"unknown action {action!r}")
-        object.__setattr__(self, "action", action)
+        object.__setattr__(self, "action", check_action(action))
         if target is not None:
             target = tuple(check_target(model, target).tolist())
         object.__setattr__(self, "target", target)
@@ -377,12 +386,17 @@ ALGORITHMS: dict[str, Callable[..., AttackResult]] = {
 }
 
 
+def find_algorithm(name: str) -> Callable[..., AttackResult]:
+    """The solver named ``name`` in :data:`ALGORITHMS`; ``spec_invalid`` if none is."""
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise ValidationError("spec_invalid", f"unknown algorithm {name!r}") from None
+
+
 def solve(problem: AttackProblem, algorithm: str, seed: int | None = None) -> AttackResult:
     """Dispatch by algorithm name; ``seed`` is only used by ``random``."""
-    try:
-        fn = ALGORITHMS[algorithm]
-    except KeyError:
-        raise ValidationError("spec_invalid", f"unknown algorithm {algorithm!r}") from None
+    fn = find_algorithm(algorithm)
     if algorithm == "random":
         if seed is None:
             raise ValidationError("spec_invalid", "the random baseline needs a seed")

@@ -29,10 +29,13 @@ from .attacks import (
     BRUTE_FORCE_LIMIT,
     AttackProblem,
     brute_force_attack,
+    check_action,
+    check_budget,
+    find_algorithm,
     solve,
 )
 from .generators import FAMILIES, GenSpec, generate
-from .inference import objective_value
+from .inference import check_norm, objective_value
 from .model import (
     HIDE,
     FLIP,
@@ -41,6 +44,7 @@ from .model import (
     check_integer,
     format_float,
     json_array,
+    json_object,
     json_value,
     load_model,
     save_model,
@@ -187,14 +191,9 @@ _SWEEP_KEYS = {
 def _read_sweep(doc) -> argparse.Namespace:
     """Every sweep-config key, type-checked once, with its default; integers as int.
 
-    Ranges are left to the code that uses each value: ``GenSpec`` (family, sizes,
-    density, seeds), ``AttackProblem`` (k, p, action), ``solve`` (algorithms).
+    Ranges are checked by :func:`_sweep_grid`.
     """
-    if type(doc) is not dict:
-        raise ValidationError("spec_invalid", "sweep config must be a JSON object")
-    unknown = sorted(set(doc) - set(_SWEEP_KEYS))
-    if unknown:
-        raise ValidationError("spec_invalid", f"unknown sweep config keys: {unknown}")
+    json_object(doc, _SWEEP_KEYS.keys(), "sweep config")
     sweep = argparse.Namespace()
     for key, (rule, default) in _SWEEP_KEYS.items():
         value, what = doc.get(key, default), f"sweep key {key!r}"
@@ -222,17 +221,36 @@ def _sweep_budget(sweep, n: int) -> int:
     return math.ceil(n / 10)
 
 
-def _solve_cell(sweep, n: int, trial: int):
-    seed = derive_seed(sweep.seed, n, trial)
-    k = _sweep_budget(sweep, n)
-    spec = GenSpec(sweep.family, n, monotone=sweep.monotone, seed=seed, eps=sweep.eps,
-                   edge_density=sweep.density)
+def _sweep_grid(sweep) -> list[tuple[int, int, list[GenSpec]]]:
+    """Each n with its budget and one generator spec per trial, before any cell runs.
+
+    Every value is range-checked here by the rule of the code that uses it,
+    so a bad value late in the grid costs no earlier cell: ``GenSpec``
+    (family, sizes, density, seeds), ``AttackProblem``'s ``check_budget``,
+    ``check_norm`` and ``check_action``, and ``find_algorithm``.
+    """
+    for alg in sweep.algorithms:
+        find_algorithm(alg)
+    check_norm(sweep.p)
+    check_action(sweep.action)
+    grid = []
+    for n in sweep.ns:
+        specs = [
+            GenSpec(sweep.family, n, monotone=sweep.monotone, seed=derive_seed(sweep.seed, n, t),
+                    eps=sweep.eps, edge_density=sweep.density)
+            for t in range(sweep.trials)
+        ]
+        grid.append((n, check_budget(_sweep_budget(sweep, n)), specs))
+    return grid
+
+
+def _solve_cell(sweep, spec: GenSpec, k: int):
     model = generate(spec)
     # The two-block adversarial family is built around the all-zero draw.
     if sweep.family == "heuristic_adversarial":
         x0 = (0,) * model.n0
     else:
-        x0 = draw_realization(model, realization_rng(seed))
+        x0 = draw_realization(model, realization_rng(spec.seed))
     problem = AttackProblem(model, x0, k, sweep.p, sweep.action)
     masks = sum(math.comb(model.n0, m) for m in range(problem.budget + 1))
     opt = brute_force_attack(problem).value if masks <= BRUTE_FORCE_LIMIT else None
@@ -240,12 +258,12 @@ def _solve_cell(sweep, n: int, trial: int):
     for alg in sweep.algorithms:
         start = time.perf_counter()
         if alg == "random":
-            result = solve(problem, alg, seed=baseline_seed(seed))
+            result = solve(problem, alg, seed=baseline_seed(spec.seed))
         else:
             result = solve(problem, alg)
         wall = int(round((time.perf_counter() - start) * 1000)) if sweep.timing else None
         per_alg[alg] = (result.value, wall)
-    return seed, k, opt, per_alg
+    return opt, per_alg
 
 
 def cmd_sweep(args) -> int:
@@ -254,18 +272,19 @@ def cmd_sweep(args) -> int:
             sweep = _read_sweep(json.load(fh))
         except json.JSONDecodeError as exc:
             raise ValidationError("spec_invalid", f"malformed sweep config: {exc}") from exc
+    grid = _sweep_grid(sweep)
     p_text = "inf" if sweep.p == math.inf else str(sweep.p)
     lines = ["family,n,k,p,algorithm,trial,seed,value,opt_value,ratio,wall_ms"]
-    for n in sweep.ns:
-        cells = [_solve_cell(sweep, n, t) for t in range(sweep.trials)]
+    for n, k, specs in grid:
+        cells = [_solve_cell(sweep, spec, k) for spec in specs]
         for alg in sweep.algorithms:
-            for t, (seed, k, opt, per_alg) in enumerate(cells):
+            for t, (spec, (opt, per_alg)) in enumerate(zip(specs, cells)):
                 value, wall = per_alg[alg]
                 opt_text = format_float(opt) if opt is not None else ""
                 ratio_text = format_float(value / opt) if opt else ""
                 wall_text = str(wall) if wall is not None else ""
                 lines.append(
-                    f"{sweep.family},{n},{k},{p_text},{alg},{t},{seed},"
+                    f"{sweep.family},{n},{k},{p_text},{alg},{t},{spec.seed},"
                     f"{format_float(value)},{opt_text},{ratio_text},{wall_text}"
                 )
     with open(sweep.out, "w", encoding="utf-8", newline="") as fh:

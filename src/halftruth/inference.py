@@ -256,7 +256,8 @@ class Evaluator:
     maximization pushes the observer toward the target.  The reference
     marginals are computed once.  ``calls`` counts evaluations, which solvers
     report as their work; ``node_posteriors`` counts node marginals computed,
-    one per distinct node object (see ``DbnModel.node_table``).
+    one per distinct node object (see ``DbnModel.node_table``), and
+    ``node_reuses`` those taken from the memo instead.
 
     A node's marginal depends only on the mask's bits among its parents, so
     the evaluator keeps the node values of a base mask and of the empty mask,
@@ -266,8 +267,13 @@ class Evaluator:
     as in the all-parents family, it recomputes every node instead and never
     builds the children lists.  :meth:`batch` scores many masks at once,
     with one Poisson-binomial convolution for all of them; :meth:`__call__`
-    is its one-mask case.  Either way each score has the same bits as
-    scoring the mask from scratch.
+    is its one-mask case.
+
+    A recomputed node first looks in a memo keyed by its ``node_table``
+    slot and the mask's indices among its parents, as an int with bit j for
+    index j; only a miss calls the per-node routine.  The memo belongs to
+    this evaluator and dies with it.  Either way each score has the same
+    bits as scoring the mask from scratch.
     """
 
     def __init__(
@@ -287,8 +293,13 @@ class Evaluator:
         self._base, self._base_values = frozenset(), self._empty
         # Child edges per stage-0 index, on average.
         self._mean_children = sum(len(node.parents) for _, node in unique) / max(model.n0, 1)
+        # Per slot: its parents as bits, and the memo, which starts with the
+        # empty mask's values under key 0.
+        self._parent_bits = [sum(1 << j for j in node.parents) for _, node in unique]
+        self._memo = [{0: value} for value in self._empty.tolist()]
         self.calls = 0
         self.node_posteriors = len(unique)
+        self.node_reuses = 0
         if target is None:
             self._ref = true
             self._sign = 1.0
@@ -345,11 +356,19 @@ class Evaluator:
         else:
             children = self.model.children
             touched = sorted(set().union(*(children[j] for j in changed)))
+        code = sum(1 << j for j in chosen)
         view = _mask_view(self._bits, mask)
+        computed = 0
         for s in touched:
-            i, node = unique[s]
-            out[s] = _node_value(self.model, self._bits, self.action, view, node, i)
-        self.node_posteriors += len(touched)
+            memo, key = self._memo[s], code & self._parent_bits[s]
+            value = memo.get(key)
+            if value is None:
+                i, node = unique[s]
+                value = memo[key] = _node_value(self.model, self._bits, self.action, view, node, i)
+                computed += 1
+            out[s] = value
+        self.node_posteriors += computed
+        self.node_reuses += len(touched) - computed
         return chosen
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -422,6 +422,20 @@ def json_array(value, rule: str, what: str, i: int | None = None) -> list:
     return value
 
 
+def json_object(value, keys: AbstractSet[str], what: str, i: int | None = None) -> dict:
+    """``value`` if it is a JSON object with no key outside ``keys``; else ``spec_invalid``."""
+    if type(value) is not dict:
+        raise _spec_error(f"{what}: expected an object", i)
+    if not value.keys() <= keys:
+        raise _spec_error(f"unknown {what} keys: {sorted(value.keys() - keys)}", i)
+    return value
+
+
+_MODEL_KEYS = frozenset(("n0", "priors", "nodes"))
+_NODE_KEYS = frozenset(("parents", "transition"))
+_TRANSITION_KEYS = frozenset(("kind", "values"))
+
+
 def model_from_json(text: str) -> DbnModel:
     """Read a model file, building one :class:`Stage1Node` per distinct entry.
 
@@ -430,23 +444,26 @@ def model_from_json(text: str) -> DbnModel:
     keyed on it stay as small as the model's distinct nodes; -0.0 and 0.0 stay
     apart and NaN never matches.  Every entry is type-checked by the JSON
     type rules: ``n0`` and parents must be integers (1.0 is, ``true`` is not),
-    priors and values numbers, and each of them an array; anything else is
-    ``spec_invalid``.
+    priors and values numbers, and each of them an array; anything else,
+    and a key the format does not have, is ``spec_invalid``.
     """
     try:
         # The hook costs a Python call per integer; only a minus sign can need it.
         doc = json.loads(text, parse_int=_json_int) if "-" in text else json.loads(text)
+        json_object(doc, _MODEL_KEYS, "model")
         n0 = json_value(doc["n0"], "integer", "model n0")
         priors = json_array(doc["priors"], "number", "model priors")
         entries = json_array(doc["nodes"], "object", "model nodes")
         shared: dict[tuple, Stage1Node] = {}
         nodes = []
         for i, entry in enumerate(entries):
+            json_object(entry, _NODE_KEYS, "node", i)
             parents = json_array(entry["parents"], "integer", "parents", i)
-            kind = entry["transition"]["kind"]
+            transition = json_object(entry["transition"], _TRANSITION_KEYS, "transition", i)
+            kind = transition["kind"]
             if kind not in KINDS:
                 raise ValidationError("kind_invalid", f"unknown transition kind {kind!r}")
-            values = json_array(entry["transition"]["values"], "number", "values", i)
+            values = json_array(transition["values"], "number", "values", i)
             floats = np.array(values, dtype=float)
             key = (tuple(parents), kind, floats.tobytes())
             node = shared.get(key)

@@ -13,6 +13,7 @@ from halftruth import (
     objective_value,
     validate_model,
 )
+from halftruth import cli
 from halftruth.cli import _read_sweep, _sweep_budget, main
 
 
@@ -318,6 +319,31 @@ def _fractional_sweep_k(tmp_path, capsys):
     return ["sweep", "--config", str(cfg_path)]
 
 
+def _model_with_extra_key(tmp_path, capsys):
+    doc = json.loads(write_toy_model(tmp_path, capsys).read_text())
+    doc["extra"] = 1
+    return _attack_doc(tmp_path, doc)
+
+
+def _node_with_bogus_key(tmp_path, capsys):
+    doc = json.loads(write_toy_model(tmp_path, capsys).read_text())
+    doc["nodes"][2]["bogus"] = 0
+    return _attack_doc(tmp_path, doc)
+
+
+def _transition_with_x_key(tmp_path, capsys):
+    doc = json.loads(write_toy_model(tmp_path, capsys).read_text())
+    doc["nodes"][0]["transition"]["x"] = 0
+    return _attack_doc(tmp_path, doc)
+
+
+def _attack_doc(tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    return ["attack", "--model", str(path), "--x0-seed", "1", "--algorithm", "heuristic",
+            "--k", "1"]
+
+
 def _sweep_with(name, **overrides):
     """A malformed-input case: the shared sweep config with ``overrides``."""
 
@@ -423,6 +449,9 @@ MALFORMED_CODES = {
         _fractional_parent,
         _fractional_n0,
         _string_prior,
+        _model_with_extra_key,
+        _node_with_bogus_key,
+        _transition_with_x_key,
         _fractional_sweep_k,
         _sweep_string_in_ns,
         _sweep_ns_not_array,
@@ -461,6 +490,35 @@ def test_malformed_input_exits_2(tmp_path, capsys, make_argv):
     assert code == 2
     assert f"error ({MALFORMED_CODES.get(make_argv, 'spec_invalid')})" in err
     assert out == ""
+    assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "overrides,code",
+    [
+        ({"ns": [13, 0]}, "spec_invalid"),
+        ({"algorithms": ["combined", "nosuch"]}, "spec_invalid"),
+        ({"k": -1}, "spec_invalid"),
+        ({"k_fraction": 1.5}, "spec_invalid"),
+        ({"action": "bend"}, "wrong_action"),
+        ({"p": 0}, "wrong_norm"),
+    ],
+    ids=["zero_n_late", "unknown_algorithm_late", "negative_k", "k_fraction", "action", "p"],
+)
+def test_sweep_checks_the_whole_grid_before_the_first_cell(
+    tmp_path, capsys, monkeypatch, overrides, code
+):
+    generated = []
+    monkeypatch.setattr(cli, "generate", generated.append)
+    cfg = {"family": "random_general", "density": 0.7, "ns": [13], "k_fraction": 0.3, "p": "inf",
+           "algorithms": ["combined", "heuristic"], "trials": 3,
+           "out": str(tmp_path / "sweep.csv"), **overrides}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    status, out, err = run(capsys, "sweep", "--config", str(cfg_path))
+    assert (status, out) == (2, "")
+    assert f"error ({code})" in err
+    assert generated == []
     assert not (tmp_path / "sweep.csv").exists()
 
 

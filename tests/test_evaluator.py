@@ -44,7 +44,7 @@ def _masks(rng, base):
     return [[int(j) for j in mask] for mask in masks]
 
 
-def _from_scratch(model, x0, mask, p, action, target):
+def from_scratch(model, x0, mask, p, action, target):
     ref = true_posterior(model, x0) if target is None else target
     sign = 1.0 if target is None else -1.0
     r = induced_posterior(model, x0, Mask(mask, action))
@@ -66,7 +66,7 @@ def test_batch_matches_single_calls_bit_for_bit(family, monotone, action):
                 # Twice: once moving the base, once from the moved base.
                 batched = evaluate.batch(masks, base=base) + evaluate.batch(masks)
                 single = [Evaluator(model, x0, p, action, tgt)(mask) for mask in masks]
-                scratch = [_from_scratch(model, x0, m, p, action, tgt) for m in masks]
+                scratch = [from_scratch(model, x0, m, p, action, tgt) for m in masks]
                 assert batched == single + single
                 assert single == scratch
                 assert evaluate.calls == 2 * len(masks)
@@ -93,15 +93,26 @@ def test_climb_step_recomputes_only_children():
     evaluate = Evaluator(model, x0, 2)
     # Construction computes every distinct node once: the empty mask.
     assert evaluate.node_posteriors == len(model.node_table[0])
+    assert evaluate.node_reuses == 0
     before = evaluate.node_posteriors
     evaluate.batch([[j] for j in range(N0)], base=[])
+    # Each child of j sees the new state {j}: all misses.
     assert evaluate.node_posteriors - before == sum(len(c) for c in children)
+    assert evaluate.node_reuses == 0
     # The next step moves the base by one index, then adds each other index.
-    before = evaluate.node_posteriors
+    before = evaluate.node_posteriors, evaluate.node_reuses
     current = [5]
     evaluate.batch([current + [j] for j in range(N0) if j != 5], base=current)
+    computed = evaluate.node_posteriors - before[0]
+    reused = evaluate.node_reuses - before[1]
+    # Every recomputed node is either computed or reused: the touched count.
     step = sum(len(children[j]) for j in range(N0) if j != 5)
-    assert evaluate.node_posteriors - before == len(children[5]) + step
+    assert computed + reused == len(children[5]) + step
+    # Moving the base to [5] finds every child of 5 from the first step; a
+    # child of j sees a new state only when 5 is also among its parents.
+    fives = set(children[5])
+    assert computed == sum(len(fives.intersection(children[j])) for j in range(N0) if j != 5)
+    assert 0 < computed < reused
 
 
 def test_dense_parents_recompute_every_node():
@@ -114,6 +125,7 @@ def test_dense_parents_recompute_every_node():
     masks = [[1], [1, 3], [0, 5, 11], []]
     evaluate = Evaluator(model, x0, 2)
     before = evaluate.node_posteriors
-    assert evaluate.batch(masks) == [_from_scratch(model, x0, m, 2, HIDE, None) for m in masks]
+    assert evaluate.batch(masks) == [from_scratch(model, x0, m, 2, HIDE, None) for m in masks]
     assert evaluate.node_posteriors - before == 3 * model.n1
+    assert evaluate.node_reuses == 0
     assert "children" not in vars(model)

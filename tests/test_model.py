@@ -252,6 +252,27 @@ def test_json_reader_rejects_wrong_types(fields):
     assert err.value.code == "spec_invalid"
 
 
+@pytest.mark.parametrize(
+    "old,new,key,node",
+    [
+        ('{"n0": 2,', '{"n0": 2, "extra": 1,', "extra", None),
+        ('{"parents": [1]', '{"bogus": 0, "parents": [1]', "bogus", 1),
+        ('"kind": "additive", "values": [0.5, 1.0]', '"kind": "additive", "x": 1, "values": [0.5, 1.0]', "x", 1),
+    ],
+    ids=["top_level", "node_entry", "transition"],
+)
+def test_json_reader_rejects_unknown_keys(old, new, key, node):
+    text = model_doc(parents=("[0, 1]", "[1]"), values=("[0.0, 0.5, 1.0]", "[0.5, 1.0]"))
+    assert old in text
+    with pytest.raises(ValidationError) as err:
+        model_from_json(text.replace(old, new))
+    assert err.value.code == "spec_invalid"
+    assert repr(key) in str(err.value)
+    assert err.value.node == node
+    if node is not None:
+        assert str(err.value).startswith(f"node {node}: ")
+
+
 def test_json_reader_keeps_integral_floats():
     text = model_doc(n0="2.0", parents=("[0, 1.0]",), values=("[0, 0.5, 1]",))
     model = model_from_json(text)

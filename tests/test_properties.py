@@ -7,6 +7,7 @@ draws the same ones.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,17 +31,19 @@ from halftruth import (
     objective_value,
     solve,
 )
+from test_evaluator import from_scratch
 
 # These two add up per-index gains, so their value may differ from the
 # objective of their mask by rounding; the acceptance tolerance applies.
 SUMMED_GAINS = {"linear_exact", "flip_linear_exact"}
 NORMS = (1, 2, 3, math.inf)
+RANDOM_FAMILIES = ("random_general", "random_additive", "random_linear")
 
 
 @st.composite
-def instances(draw, max_n0=6):
+def instances(draw, max_n0=6, families=RANDOM_FAMILIES):
     """A generated random-family model, a realization, and an optional target."""
-    family = draw(st.sampled_from(["random_general", "random_additive", "random_linear"]))
+    family = draw(st.sampled_from(families))
     spec = GenSpec(
         family,
         n0=draw(st.integers(2, max_n0)),
@@ -140,3 +143,39 @@ def test_batch_equals_one_at_a_time_calls(instance, p, action, data):
     batched = Evaluator(model, x0, p, action, target).batch(masks, base=base)
     single = Evaluator(model, x0, p, action, target)
     assert batched == [single(mask) for mask in masks]
+
+
+@pytest.mark.parametrize("family", RANDOM_FAMILIES)
+@pytest.mark.parametrize("action", (HIDE, FLIP))
+@pytest.mark.parametrize("targeted", (False, True))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_long_batch_runs_score_the_bits_of_scoring_from_scratch(family, action, targeted, data):
+    # One evaluator, so later batches read node values memoized by earlier ones.
+    model, x0, _ = data.draw(instances(max_n0=8, families=(family,)))
+    unit = st.floats(0.0, 1.0)
+    target = data.draw(st.lists(unit, min_size=model.n1, max_size=model.n1)) if targeted else None
+    p = data.draw(st.sampled_from(NORMS))
+    evaluate = Evaluator(model, x0, p, action, target)
+    for _ in range(data.draw(st.integers(4, 10))):
+        base = data.draw(st.none() | masks_of(model))
+        masks = data.draw(st.lists(masks_of(model), min_size=1, max_size=8))
+        got = evaluate.batch(masks, base=base)
+        want = [from_scratch(model, x0, mask, p, action, target) for mask in masks]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@settings(max_examples=40)
+@given(instances(), st.integers(0, 3), st.sampled_from(NORMS), st.sampled_from([HIDE, FLIP]))
+def test_solvers_cache_nothing_on_the_problem_or_model(instance, k, p, action):
+    model, x0, target = instance
+    problem = AttackProblem(model, x0, k, p, action, target)
+    fields, cached = dict(vars(problem)), set(vars(model))
+    for name in ALGORITHMS:
+        try:
+            solve(problem, name, seed=[1, 1] if name == "random" else None)
+        except ValidationError:
+            continue
+        assert vars(problem) == fields
+        # Only the model's own tables; any memo dies with its evaluator.
+        assert set(vars(model)) - cached <= {"node_table", "children"}
