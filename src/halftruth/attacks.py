@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, combinations, islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -98,9 +98,9 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
     """Exhaustively search every mask of size <= budget.
 
     The objective is not monotone in the mask (hiding can reduce distance),
-    so all sizes are tried, not just the full budget.  Value ties go to the
-    lexicographically smallest index tuple, whatever the order masks are
-    scored in; they are scored depth first, in batches of ``BATCH_SIZE``.
+    so all sizes are tried, not just the full budget.  Masks are scored size
+    by size, in batches of ``BATCH_SIZE``; value ties go to the
+    lexicographically smallest index tuple, whatever the scoring order.
     Refuses instances with more than ``BRUTE_FORCE_LIMIT`` candidate masks.
     """
     n0, k = problem.model.n0, problem.budget
@@ -113,7 +113,8 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
-    for block in _blocks(_masks_depth_first(n0, k)):
+    masks = chain.from_iterable(combinations(range(n0), m) for m in range(1, k + 1))
+    for block in _blocks(masks):
         for cand, value in zip(block, evaluate.batch(block)):
             if value > best_value or (value == best_value and cand < best_set):
                 best_value, best_set = value, cand
@@ -126,20 +127,6 @@ def _blocks(masks: Iterator[Sequence[int]]) -> Iterator[list[Sequence[int]]]:
     """Consecutive runs of up to ``BATCH_SIZE`` masks."""
     while block := list(islice(masks, BATCH_SIZE)):
         yield block
-
-
-def _masks_depth_first(n0: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every sorted index tuple of 1..k indices, each right after its parent.
-
-    The parent is the tuple without its largest index, so the evaluator
-    recomputes one index's children per mask.
-    """
-    stack = [(j,) for j in reversed(range(n0))] if k else []
-    while stack:
-        mask = stack.pop()
-        yield mask
-        if len(mask) < k:
-            stack.extend(mask + (j,) for j in reversed(range(mask[-1] + 1, n0)))
 
 
 def _require(problem: AttackProblem, action: str, caller: str) -> None:
@@ -219,24 +206,31 @@ def heuristic_attack(problem: AttackProblem) -> AttackResult:
     degrades as the budget grows.
     """
     evaluate = problem.evaluator()
-    n0, k = problem.model.n0, problem.budget
     current: list[int] = []
-    best_set: tuple[int, ...] = ()
-    best_value = evaluate(())
-    for _ in range(k):
-        step_best = -math.inf
-        step_idx = -1
-        cands = [j for j in range(n0) if j not in current]
-        values = evaluate.batch([current + [j] for j in cands], base=current)
-        for j, value in zip(cands, values):
-            if value > step_best:
-                step_best, step_idx = value, j
-        if step_idx < 0:
-            break
-        current.append(step_idx)
-        if step_best > best_value:
-            best_value, best_set = step_best, tuple(sorted(current))
-    return AttackResult(Mask(best_set, problem.action), best_value, "heuristic", evaluate.calls)
+    best = evaluate(()), ()
+    for _ in range(problem.budget):
+        best = _climb_step(evaluate, current, range(problem.model.n0), best)
+    return AttackResult(Mask(best[1], problem.action), best[0], "heuristic", evaluate.calls)
+
+
+def _climb_step(
+    evaluate: Evaluator,
+    current: list[int],
+    pool: Sequence[int],
+    best: tuple[float, tuple[int, ...]],
+) -> tuple[float, tuple[int, ...]]:
+    """Append to ``current`` the index of ``pool`` that scores highest with it.
+
+    Scores ``current`` plus each pool index not in it, in one batch with
+    ``current`` as the base; the first index of the highest value wins, so
+    ties go to the earlier pool index.  Returns the grown mask, sorted, with
+    its value if that beats the (value, mask) pair ``best``; else ``best``.
+    """
+    cands = [j for j in pool if j not in current]
+    values = evaluate.batch([current + [j] for j in cands], base=current)
+    step_best = max(values)
+    current.append(cands[values.index(step_best)])
+    return (step_best, tuple(sorted(current))) if step_best > best[0] else best
 
 
 def combined_attack(problem: AttackProblem) -> AttackResult:
@@ -334,34 +328,16 @@ def flip_approx_attack(problem: AttackProblem) -> AttackResult:
     model, bits, k = problem.model, problem.x0, problem.budget
     _require_nodes(problem, "non_additive_transition", "flip_approx_attack")
     evaluate = problem.evaluator()
-    best_set: tuple[int, ...] = ()
-    best_value = evaluate(())
-
-    def grow(eta: list[int], pool: Sequence[int]) -> float:
-        nonlocal best_set, best_value
-        step_best, step_idx = -math.inf, -1
-        cands = [j for j in pool if j not in eta]
-        for j, value in zip(cands, evaluate.batch([eta + [j] for j in cands], base=eta)):
-            if value > step_best:
-                step_best, step_idx = value, j
-        if step_idx < 0:
-            return -math.inf
-        eta.append(step_idx)
-        if step_best > best_value:
-            best_value, best_set = step_best, tuple(sorted(eta))
-        return step_best
-
-    everything = range(model.n0)
+    best = evaluate(()), ()
     for node in model.nodes:
         for outcome in (0, 1):
             part = [j for j in node.parents if bits[j] == outcome]
+            # Climb within the part while it lasts, then over every index.
             eta: list[int] = []
-            while len(eta) < k and len(eta) < len(part):
-                grow(eta, part)
-            while len(eta) < k:
-                if grow(eta, everything) == -math.inf:
-                    break
-    return AttackResult(Mask(best_set, FLIP), best_value, "flip_approx", evaluate.calls)
+            for t in range(k):
+                pool = part if t < len(part) else range(model.n0)
+                best = _climb_step(evaluate, eta, pool, best)
+    return AttackResult(Mask(best[1], FLIP), best[0], "flip_approx", evaluate.calls)
 
 
 def random_mask_baseline(problem: AttackProblem, seed: int) -> AttackResult:

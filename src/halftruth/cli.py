@@ -58,6 +58,7 @@ from .simulate import (
     make_algorithm_policy,
     oracle_policy,
     realization_rng,
+    run_expectation,
 )
 
 
@@ -161,8 +162,6 @@ def cmd_simulate(args) -> int:
         trials=args.trials,
         seed=args.seed,
     )
-    from .simulate import run_expectation
-
     report = run_expectation(config)
     print(json.dumps(report.to_json_dict()))
     return 0
@@ -257,10 +256,7 @@ def _solve_cell(sweep, spec: GenSpec, k: int):
     per_alg = {}
     for alg in sweep.algorithms:
         start = time.perf_counter()
-        if alg == "random":
-            result = solve(problem, alg, seed=baseline_seed(spec.seed))
-        else:
-            result = solve(problem, alg)
+        result = solve(problem, alg, seed=baseline_seed(spec.seed))
         wall = int(round((time.perf_counter() - start) * 1000)) if sweep.timing else None
         per_alg[alg] = (result.value, wall)
     return opt, per_alg

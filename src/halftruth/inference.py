@@ -260,20 +260,19 @@ class Evaluator:
     ``node_reuses`` those taken from the memo instead.
 
     A node's marginal depends only on the mask's bits among its parents, so
-    the evaluator keeps the node values of a base mask and of the empty mask,
-    and a mask recomputes only the children (``DbnModel.children``) of the
-    indices where it differs from a mask already computed.  When those
-    indices have on average as many child edges as there are distinct nodes,
-    as in the all-parents family, it recomputes every node instead and never
-    builds the children lists.  :meth:`batch` scores many masks at once,
-    with one Poisson-binomial convolution for all of them; :meth:`__call__`
-    is its one-mask case.
+    the evaluator keeps the node values of a base mask and of the empty mask.
+    A mask starts from whichever of the two differs from it in fewer
+    indices and recomputes only the children (``DbnModel.children``) of
+    those indices.  :meth:`batch` scores many masks at once, with one
+    Poisson-binomial convolution for all of them; :meth:`__call__` is its
+    one-mask case.
 
     A recomputed node first looks in a memo keyed by its ``node_table``
     slot and the mask's indices among its parents, as an int with bit j for
-    index j; only a miss calls the per-node routine.  The memo belongs to
-    this evaluator and dies with it.  Either way each score has the same
-    bits as scoring the mask from scratch.
+    index j; only a miss calls the per-node routine.  So each (node, mask ∩
+    parents) state is computed once, whichever mask reaches it first.  The
+    memo belongs to this evaluator and dies with it.  Each score has the
+    same bits as scoring the mask from scratch.
     """
 
     def __init__(
@@ -291,8 +290,6 @@ class Evaluator:
         # Node values under the empty mask, which are the same for both actions.
         self._empty = true[[i for i, _ in unique]]
         self._base, self._base_values = frozenset(), self._empty
-        # Child edges per stage-0 index, on average.
-        self._mean_children = sum(len(node.parents) for _, node in unique) / max(model.n0, 1)
         # Per slot: its parents as bits, and the memo, which starts with the
         # empty mask's values under key 0.
         self._parent_bits = [sum(1 << j for j in node.parents) for _, node in unique]
@@ -317,45 +314,31 @@ class Evaluator:
         """Scores of ``masks``, in order.
 
         ``base`` (default: the current one) becomes the base mask first.
-        Each mask starts from whichever of the base, the empty mask and the
-        batch's latest masks of its own size and of one index fewer differs
-        from it in the fewest indices.  So one index added to the base, a
-        chain of growing prefixes, or masks listed each after its parent,
-        recompute one index's children per mask.
+        Each mask starts from the base or the empty mask, whichever differs
+        from it in fewer indices, so a climb step that adds one index to the
+        base recomputes that index's children.
         """
         self.calls += len(masks)
         if base is not None:
             values = np.empty_like(self._empty)
-            self._base, self._base_values = self._fill(values, base, {}), values
+            self._base, self._base_values = self._fill(values, base), values
         rows = np.empty((len(masks), self._empty.size))
-        latest: dict[int, tuple[frozenset[int], np.ndarray]] = {}
         for row, indices in zip(rows, masks):
-            self._fill(row, indices, latest)
+            self._fill(row, indices)
         d = disagreement(self._ref, rows[:, self._slots])
         return [self._sign * value for value in _distances(d, self.p)]
 
-    def _fill(self, out: np.ndarray, indices: Iterable[int], latest: dict) -> frozenset[int]:
-        """Write one mask's node values into ``out``; record it in ``latest`` by size."""
+    def _fill(self, out: np.ndarray, indices: Iterable[int]) -> frozenset[int]:
+        """Write one mask's node values into ``out``; return its index set."""
         mask = Mask(indices, self.action)
         check_mask_indices(self.model, mask)
         chosen = frozenset(mask.indices)
-        size = len(chosen)
-        nearby = [(self._base, self._base_values)]
-        nearby += [latest[m] for m in (size - 1, size) if m in latest]
         changed, start = chosen, self._empty
-        for near, values in nearby:
-            if len(chosen ^ near) < len(changed):
-                changed, start = chosen ^ near, values
-        latest[size] = (chosen, out)
+        if len(chosen ^ self._base) < len(chosen):
+            changed, start = chosen ^ self._base, self._base_values
         out[:] = start
-        if not changed:
-            return chosen
-        unique = self.model.node_table[0]
-        if len(changed) * self._mean_children >= len(unique):
-            touched = range(len(unique))
-        else:
-            children = self.model.children
-            touched = sorted(set().union(*(children[j] for j in changed)))
+        unique, children = self.model.node_table[0], self.model.children
+        touched = sorted(set().union(*(children[j] for j in changed)))
         code = sum(1 << j for j in chosen)
         view = _mask_view(self._bits, mask)
         computed = 0

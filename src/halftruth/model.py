@@ -105,10 +105,6 @@ class Stage1Node:
         object.__setattr__(self, "parents", tuple(map(int, parents)))
         object.__setattr__(self, "transition", transition)
 
-    @cached_property
-    def parents_array(self) -> np.ndarray:
-        return np.asarray(self.parents, dtype=np.intp)
-
 
 @dataclass(frozen=True)
 class DbnModel:
@@ -462,7 +458,9 @@ def model_from_json(text: str) -> DbnModel:
             transition = json_object(entry["transition"], _TRANSITION_KEYS, "transition", i)
             kind = transition["kind"]
             if kind not in KINDS:
-                raise ValidationError("kind_invalid", f"unknown transition kind {kind!r}")
+                raise ValidationError(
+                    "kind_invalid", f"node {i}: unknown transition kind {kind!r}", node=i
+                )
             values = json_array(transition["values"], "number", "values", i)
             floats = np.array(values, dtype=float)
             key = (tuple(parents), kind, floats.tobytes())

@@ -17,7 +17,7 @@ import numpy as np
 
 from .attacks import AttackProblem, AttackResult, solve
 from .generators import theorem1_oracle_adversary
-from .inference import induced_posterior, objective_value, true_posterior
+from .inference import check_norm, induced_posterior, objective_value, true_posterior
 from .model import HIDE, DbnModel, Mask, check_integer
 
 # A policy maps (problem, per-trial seed) to a mask; attack solvers are
@@ -134,13 +134,15 @@ def run_sampled_distance(
     averages the norm of their difference; the mean estimates the analytic
     distance.
     """
+    p = check_norm(p)
     check_integer(trials, 1, "trials")
+    seed = check_integer(seed, 0, "seed")
     start = time.perf_counter()
     q = true_posterior(model, x0)
     r = induced_posterior(model, x0, mask)
     values = []
     for t in range(trials):
-        rng = np.random.default_rng([int(seed), t])
+        rng = np.random.default_rng([seed, t])
         x1 = rng.random(model.n1) < q
         y1 = rng.random(model.n1) < r
         m = int(np.count_nonzero(x1 != y1))

@@ -128,4 +128,24 @@ def test_dense_parents_recompute_every_node():
     assert evaluate.batch(masks) == [from_scratch(model, x0, m, 2, HIDE, None) for m in masks]
     assert evaluate.node_posteriors - before == 3 * model.n1
     assert evaluate.node_reuses == 0
-    assert "children" not in vars(model)
+
+
+def test_each_mask_starts_from_the_base_or_the_empty_mask():
+    model, x0 = _instance("random_additive", True, 3)
+    children, unique = model.children, model.node_table[0]
+    chain = [4, 17, 9, 28, 0, 21]
+    prefixes = [chain[: t + 1] for t in range(len(chain))]
+    evaluate = Evaluator(model, x0, 2)
+    before = evaluate.node_posteriors
+    evaluate.batch(prefixes, base=[])
+    # No mask starts from an earlier mask of the batch: each recomputes the
+    # children of all its indices, not only of the index its prefix lacks.
+    touched = [set().union(*(children[j] for j in prefix)) for prefix in prefixes]
+    assert evaluate.node_posteriors - before + evaluate.node_reuses == sum(map(len, touched))
+    # The memo computes each (slot, mask ∩ parents) state once.
+    states = {
+        (s, frozenset(prefix).intersection(unique[s][1].parents))
+        for prefix, slots in zip(prefixes, touched)
+        for s in slots
+    }
+    assert evaluate.node_posteriors - before == len(states)

@@ -183,10 +183,16 @@ def test_json_writer_emits_17_significant_digits():
 
 
 def test_json_reader_rejects_unknown_kind():
-    text = '{"n0": 1, "priors": [0.5], "nodes": [{"parents": [0], "transition": {"kind": "spline", "values": [0.5]}}]}'
+    text = (
+        '{"n0": 1, "priors": [0.5], "nodes": ['
+        '{"parents": [0], "transition": {"kind": "linear", "values": [0.5]}}, '
+        '{"parents": [0], "transition": {"kind": "spline", "values": [0.5]}}]}'
+    )
     with pytest.raises(ValidationError) as err:
         model_from_json(text)
     assert err.value.code == "kind_invalid"
+    assert err.value.node == 1
+    assert str(err.value).startswith("node 1: ")
 
 
 def test_validate_rejects_unknown_kind():

@@ -99,6 +99,35 @@ def test_sampled_distance_fair_coin_sum():
     assert abs(report.mean - 1.0) <= 3 * report.se
 
 
+@pytest.mark.parametrize(
+    "p,seed,code",
+    [
+        (0, 3, "wrong_norm"),
+        (-1, 3, "wrong_norm"),
+        (2.5, 3, "wrong_norm"),
+        (True, 3, "wrong_norm"),
+        (math.nan, 3, "wrong_norm"),
+        (1, -1, "spec_invalid"),
+        (1, 1.5, "spec_invalid"),
+        (1, True, "spec_invalid"),
+    ],
+)
+def test_sampled_distance_rejects_bad_norm_and_seed(p, seed, code):
+    with pytest.raises(ValidationError) as err:
+        run_sampled_distance(two_indicator_model(), (0, 0), Mask([0]), p, trials=5, seed=seed)
+    assert err.value.code == code
+
+
+def test_sampled_distance_reads_integral_floats_as_integers():
+    model = two_indicator_model()
+
+    def values(p, seed):
+        report = run_sampled_distance(model, (0, 0), Mask([0, 1]), p, 50, seed, keep_values=True)
+        return report.values
+
+    assert values(2.0, 4.0) == values(2, 4) == values(np.int64(2), np.int64(4))
+
+
 @pytest.mark.parametrize("p", [1, 2, math.inf])
 def test_sampled_distance_consistent_with_analytic(p):
     rng = np.random.default_rng(17)
