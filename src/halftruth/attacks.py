@@ -129,7 +129,8 @@ def _blocks(masks: Iterator[Sequence[int]]) -> Iterator[list[Sequence[int]]]:
         yield block
 
 
-def _require(problem: AttackProblem, action: str, caller: str) -> None:
+def require_action(problem: AttackProblem, action: str, caller: str) -> None:
+    """``wrong_action`` unless ``problem`` hides or flips as ``caller`` needs."""
     if problem.action != action:
         raise ValidationError(
             "wrong_action", f"{caller} requires action={action!r}, got {problem.action!r}"
@@ -168,7 +169,7 @@ def approx_attack(problem: AttackProblem) -> AttackResult:
     best single node accounts for at least 1/n1 of the optimal value, which is
     what makes this an n-approximation.
     """
-    _require(problem, HIDE, "approx_attack")
+    require_action(problem, HIDE, "approx_attack")
     directions = _require_nodes(problem, "non_monotone_transition", "approx_attack")
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
@@ -292,7 +293,7 @@ def _top_k_positive(gains: np.ndarray, k: int) -> tuple[int, ...]:
 
 
 def _linear_exact(problem: AttackProblem, action: str, tag: str) -> AttackResult:
-    _require(problem, action, f"{tag}_attack")
+    require_action(problem, action, f"{tag}_attack")
     gains = linear_gains(problem)
     chosen = _top_k_positive(gains, problem.budget)
     evaluate = problem.evaluator()
@@ -324,7 +325,7 @@ def flip_approx_attack(problem: AttackProblem) -> AttackResult:
     pass reaches the single most damaging per-node shift, which bounds the
     result below by 1/n1 of the optimum.
     """
-    _require(problem, FLIP, "flip_approx_attack")
+    require_action(problem, FLIP, "flip_approx_attack")
     model, bits, k = problem.model, problem.x0, problem.budget
     _require_nodes(problem, "non_additive_transition", "flip_approx_attack")
     evaluate = problem.evaluator()

@@ -26,7 +26,6 @@ import time
 
 from .attacks import (
     ALGORITHMS,
-    BRUTE_FORCE_LIMIT,
     AttackProblem,
     brute_force_attack,
     check_action,
@@ -251,8 +250,12 @@ def _solve_cell(sweep, spec: GenSpec, k: int):
     else:
         x0 = draw_realization(model, realization_rng(spec.seed))
     problem = AttackProblem(model, x0, k, sweep.p, sweep.action)
-    masks = sum(math.comb(model.n0, m) for m in range(problem.budget + 1))
-    opt = brute_force_attack(problem).value if masks <= BRUTE_FORCE_LIMIT else None
+    try:
+        opt = brute_force_attack(problem).value
+    except ValidationError as exc:
+        if exc.code != "instance_too_large":
+            raise
+        opt = None
     per_alg = {}
     for alg in sweep.algorithms:
         start = time.perf_counter()

@@ -29,6 +29,7 @@ from .model import (
     ValidationError,
     additive,
     check_integer,
+    check_realization,
     general,
     linear,
 )
@@ -173,7 +174,7 @@ def theorem1_oracle_adversary(model: DbnModel, x0: Sequence[int], k: int) -> Mas
     """
     if not _looks_like_theorem1(model):
         raise ValidationError("wrong_family", "model was not built by gen_theorem1")
-    bits = [int(v) for v in x0]
+    bits = check_realization(model, x0)
     ones = [j for j, v in enumerate(bits) if v]
     if not ones:
         return Mask(range(min(k, model.n0)))

@@ -21,9 +21,9 @@ import numpy as np
 
 from .model import (
     FLIP,
-    GENERAL,
     ADDITIVE,
     HIDE,
+    LINEAR,
     PARENT_CAP,
     DbnModel,
     Mask,
@@ -87,85 +87,64 @@ def flipped_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarra
 def induced_posterior(model: DbnModel, x0: Realization, mask: Mask) -> np.ndarray:
     """The observer's stage-1 marginals under either mask action.
 
-    Hide: hidden parents are marginalized with their priors.  The general
-    kind enumerates the ``2^h`` hidden assignments (h capped at 20); the
-    additive kind convolves the Poisson-binomial of the hidden priors and
-    shifts by the observed parent sum; the linear kind substitutes priors for
-    hidden values.  Flip: no marginalization happens; the observer sees a
-    complete (falsified) stage-0 vector with the masked bits inverted.
+    Each node's value comes from one per-node routine, ``_node_value``,
+    which reads only the mask's indices among the node's parents.  Hide:
+    hidden parents are marginalized with their priors.  The general kind
+    enumerates the ``2^h`` hidden assignments (h capped at 20); the additive
+    kind convolves the Poisson-binomial of the hidden priors and shifts by
+    the observed parent sum; the linear kind substitutes priors for hidden
+    values.  Flip: no marginalization happens; the observer sees a complete
+    (falsified) stage-0 vector with the masked bits inverted.
 
     Each distinct node object is computed once (see ``DbnModel.node_table``).
     """
     bits = check_realization(model, x0)
     check_mask_indices(model, mask)
     unique, slots = model.node_table
-    view = _mask_view(bits, mask)
-    probs = [_node_value(model, bits, mask.action, view, node, i) for i, node in unique]
+    masked = frozenset(mask.indices)
+    probs = [_node_value(model, bits, mask.action, masked, node, i) for i, node in unique]
     return np.array(probs, dtype=float)[slots]
 
 
-def _mask_view(bits: tuple[int, ...], mask: Mask) -> frozenset[int] | list[int]:
-    """What the per-node routine reads of a mask: the hidden set, or the shown bits."""
-    if mask.action == HIDE:
-        return frozenset(mask.indices)
-    shown = list(bits)
-    for j in mask.indices:
-        shown[j] = 1 - shown[j]
-    return shown
-
-
 def _node_value(
-    model: DbnModel, bits: tuple[int, ...], action: str, view, node: Stage1Node, i: int
+    model: DbnModel,
+    bits: tuple[int, ...],
+    action: str,
+    masked: frozenset[int],
+    node: Stage1Node,
+    i: int,
 ) -> float:
-    """One node's marginal under a mask; reads only the mask's bits among its parents."""
-    if action == HIDE:
-        return _node_masked(model, bits, view, node, i)
-    return transition_prob(node, [view[j] for j in node.parents])
-
-
-def _node_masked(
-    model: DbnModel, bits: tuple[int, ...], hidden: frozenset[int], node: Stage1Node, i: int
-) -> float:
+    """One node's marginal under a mask, given the mask's indices; reads only its parents."""
+    if action == FLIP:
+        return transition_prob(node, [bits[j] ^ (j in masked) for j in node.parents])
     t = node.transition
-    hid = [j for j in node.parents if j in hidden]
-    if not hid:
-        return transition_prob(node, [bits[j] for j in node.parents])
-    if t.kind == GENERAL:
-        if len(hid) > PARENT_CAP:
-            raise ValidationError(
-                "parent_cap_exceeded",
-                f"node {i}: {len(hid)} hidden parents exceeds the enumeration cap",
-                node=i,
-            )
-        pos = {j: k for k, j in enumerate(node.parents)}
-        base = 0
-        for j in node.parents:
-            if j not in hidden and bits[j]:
-                base |= 1 << pos[j]
-        total = 0.0
-        for assign in range(1 << len(hid)):
-            w = 1.0
-            idx = base
-            for b, j in enumerate(hid):
-                if (assign >> b) & 1:
-                    w *= model.priors[j]
-                    idx |= 1 << pos[j]
-                else:
-                    w *= 1.0 - model.priors[j]
-            total += w * t.values[idx]
-        return total
+    hidden = [j for j in node.parents if j in masked]
+    if not hidden or t.kind == LINEAR:
+        shown = [model.priors[j] if j in masked else bits[j] for j in node.parents]
+        return transition_prob(node, shown)
     if t.kind == ADDITIVE:
-        obs_sum = sum([bits[j] for j in node.parents if j not in hidden])
-        pmf = poisson_binomial_pmf([model.priors[j] for j in hid])
-        table = t.values_array
-        return float(pmf @ table[obs_sum : obs_sum + len(hid) + 1])
-    # linear: observed values, hidden priors
-    return float(
-        sum(
-            a * (model.priors[j] if j in hidden else bits[j])
-            for a, j in zip(t.values, node.parents)
+        obs_sum = sum([bits[j] for j in node.parents if j not in masked])
+        pmf = poisson_binomial_pmf([model.priors[j] for j in hidden])
+        return float(pmf @ t.values_array[obs_sum : obs_sum + len(hidden) + 1])
+    if len(hidden) > PARENT_CAP:
+        raise ValidationError(
+            "parent_cap_exceeded",
+            f"node {i}: {len(hidden)} hidden parents exceeds the enumeration cap",
+            node=i,
         )
-    )
+    # The 2^h hidden assignments in counter order, the first hidden parent as
+    # the lowest bit: each weight multiplies its factors in parent order.
+    base = sum(1 << k for k, j in enumerate(node.parents) if j not in masked and bits[j])
+    weights, indices = [1.0], [base]
+    for k, j in enumerate(node.parents):
+        if j in masked:
+            p = model.priors[j]
+            weights = [w * (1.0 - p) for w in weights] + [w * p for w in weights]
+            indices += [idx | 1 << k for idx in indices]
+    total = 0.0
+    for w, idx in zip(weights, indices):
+        total += w * t.values[idx]
+    return total
 
 
 def disagreement(q: Sequence[float], r: Sequence[float]) -> np.ndarray:
@@ -269,10 +248,12 @@ class Evaluator:
 
     A recomputed node first looks in a memo keyed by its ``node_table``
     slot and the mask's indices among its parents, as an int with bit j for
-    index j; only a miss calls the per-node routine.  So each (node, mask ∩
-    parents) state is computed once, whichever mask reaches it first.  The
-    memo belongs to this evaluator and dies with it.  Each score has the
-    same bits as scoring the mask from scratch.
+    index j; only a miss calls ``_node_value``, the per-node routine that
+    :func:`induced_posterior` also runs, with the mask's index set for hide
+    and flip alike.  So each (node, mask ∩ parents) state is computed once,
+    whichever mask reaches it first.  The memo belongs to this evaluator and
+    dies with it.  Each score has the same bits as scoring the mask from
+    scratch.
     """
 
     def __init__(
@@ -340,14 +321,15 @@ class Evaluator:
         unique, children = self.model.node_table[0], self.model.children
         touched = sorted(set().union(*(children[j] for j in changed)))
         code = sum(1 << j for j in chosen)
-        view = _mask_view(self._bits, mask)
         computed = 0
         for s in touched:
             memo, key = self._memo[s], code & self._parent_bits[s]
             value = memo.get(key)
             if value is None:
                 i, node = unique[s]
-                value = memo[key] = _node_value(self.model, self._bits, self.action, view, node, i)
+                value = memo[key] = _node_value(
+                    self.model, self._bits, self.action, chosen, node, i
+                )
                 computed += 1
             out[s] = value
         self.node_posteriors += computed

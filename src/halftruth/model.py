@@ -171,7 +171,7 @@ class Mask:
     action: str = HIDE
 
     def __init__(self, indices: Iterable[int], action: str = HIDE):
-        idx = tuple(sorted(int(i) for i in indices))
+        idx = tuple(sorted(_integers(indices, "mask_invalid", "mask indices")))
         if len(set(idx)) != len(idx):
             raise ValidationError("mask_invalid", f"duplicate mask indices: {idx}")
         if idx and idx[0] < 0:
@@ -198,6 +198,17 @@ def is_integral(x) -> bool:
     return isinstance(x, (float, np.floating)) and float(x).is_integer()
 
 
+def _integers(values: Iterable, code: str, what: str) -> list[int]:
+    """``values`` as ints if each is integral (see :func:`is_integral`); else ``code``."""
+    items = list(values)
+    # One pass over the item types; a second only when some item is not an int.
+    if not (_JSON_TYPES["integer"].issuperset(map(type, items)) or all(map(is_integral, items))):
+        raise ValidationError(code, f"{what} must be integers: {items!r}")
+    # A list, not tuple(map(...)): that tuple is resized after it is built, and
+    # each one freed grows the interpreter's free list of small tuples.
+    return list(map(int, items))
+
+
 def check_integer(x, least: int, what: str) -> int:
     """``x`` as an int if it is integral (see :func:`is_integral`) and ``>= least``."""
     if not is_integral(x) or x < least:
@@ -207,7 +218,7 @@ def check_integer(x, least: int, what: str) -> int:
 
 def check_realization(model: DbnModel, x0: Realization) -> tuple[int, ...]:
     """Normalize a realization to a tuple of bits, checking length and values."""
-    bits = tuple(int(b) for b in x0)
+    bits = tuple(_integers(x0, "realization_invalid", "realization entries"))
     if len(bits) != model.n0:
         raise ValidationError(
             "length_mismatch", f"realization has length {len(bits)}, expected {model.n0}"
@@ -317,7 +328,11 @@ def transition_prob(node: Stage1Node, parent_values: Sequence[int]) -> float:
         return t.values[idx]
     if t.kind == ADDITIVE:
         return t.values[int(sum(parent_values))]
-    return float(sum(a * b for a, b in zip(t.values, parent_values)))
+    # Left to right from 0.0: sum() of floats rounds differently from Python 3.12 on.
+    total = 0.0
+    for a, b in zip(t.values, parent_values):
+        total += a * b
+    return total
 
 
 def additive_to_general(node: Stage1Node) -> Stage1Node:
@@ -334,13 +349,10 @@ def additive_to_general(node: Stage1Node) -> Stage1Node:
         raise ValidationError(
             "parent_cap_exceeded", f"{npar} parents exceeds the expansion cap of {PARENT_CAP}"
         )
-    table = []
-    for bitmask in range(1 << npar):
-        bits = [(bitmask >> j) & 1 for j in range(npar)]
-        if t.kind == ADDITIVE:
-            table.append(t.values[sum(bits)])
-        else:
-            table.append(sum(a * b for a, b in zip(t.values, bits)))
+    table = [
+        transition_prob(node, [(bitmask >> j) & 1 for j in range(npar)])
+        for bitmask in range(1 << npar)
+    ]
     return Stage1Node(node.parents, general(table))
 
 

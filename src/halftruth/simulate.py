@@ -15,14 +15,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .attacks import AttackProblem, AttackResult, solve
+from .attacks import AttackProblem, require_action, solve
 from .generators import theorem1_oracle_adversary
 from .inference import check_norm, induced_posterior, objective_value, true_posterior
 from .model import HIDE, DbnModel, Mask, check_integer
 
 # A policy maps (problem, per-trial seed) to a mask; attack solvers are
 # adapted via make_algorithm_policy and ignore the seed unless they sample.
-Policy = Callable[[AttackProblem, object], "Mask | AttackResult"]
+Policy = Callable[[AttackProblem, object], Mask]
 
 
 def derive_seed(master: int, *path: int) -> int:
@@ -44,13 +44,14 @@ def draw_realization(model: DbnModel, rng: np.random.Generator) -> tuple[int, ..
 
 
 def make_algorithm_policy(name: str) -> Policy:
-    def policy(problem: AttackProblem, seed) -> AttackResult:
-        return solve(problem, name, seed=seed)
+    def policy(problem: AttackProblem, seed) -> Mask:
+        return solve(problem, name, seed=seed).mask
 
     return policy
 
 
 def oracle_policy(problem: AttackProblem, seed) -> Mask:
+    require_action(problem, HIDE, "oracle_policy")
     return theorem1_oracle_adversary(problem.model, problem.x0, problem.budget)
 
 
@@ -112,8 +113,7 @@ def run_expectation(config: SimConfig) -> SimReport:
         problem = AttackProblem(
             config.model, x0, config.budget, config.p, config.action, config.target
         )
-        picked = config.policy(problem, baseline_seed(seed))
-        mask = picked.mask if isinstance(picked, AttackResult) else picked
+        mask = config.policy(problem, baseline_seed(seed))
         values.append(objective_value(config.model, x0, mask, config.p, config.target))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
     return _summarize(values, wall_ms, config.keep_values)

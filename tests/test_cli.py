@@ -186,6 +186,16 @@ def test_sweep_csv_shape_and_columns(tmp_path, capsys):
     assert all(r["opt_value"] for r in rows)  # small cells: brute force filled in
 
 
+def test_sweep_leaves_opt_value_blank_past_the_brute_force_limit(tmp_path, capsys):
+    # C(60, <=6) masks is over attacks.BRUTE_FORCE_LIMIT, so brute force refuses the cell.
+    cfg_path, _ = sweep_config(tmp_path, ns=[60], k=6, algorithms=["heuristic"], trials=1)
+    code, _, err = run(capsys, "sweep", "--config", str(cfg_path))
+    assert code == 0, err
+    _, rows = read_rows(tmp_path / "sweep.csv")
+    assert [(r["opt_value"], r["ratio"]) for r in rows] == [("", "")]
+    assert float(rows[0]["value"]) > 0
+
+
 def test_sweep_byte_identical_reruns(tmp_path, capsys):
     cfg_path, _ = sweep_config(tmp_path)
     assert run(capsys, "sweep", "--config", str(cfg_path))[0] == 0
@@ -411,6 +421,13 @@ def _simulate_negative_seed(tmp_path, capsys):
             "--trials", "2", "--seed", "-1"]
 
 
+def _simulate_oracle_flip(tmp_path, capsys):
+    path = tmp_path / "t1.json"
+    run(capsys, "gen", "--family", "theorem1", "--n", "6", "--out", str(path))
+    return ["simulate", "--model", str(path), "--algorithm", "oracle", "--k", "6",
+            "--action", "flip", "--trials", "2"]
+
+
 def _nan_target(tmp_path, capsys):
     return _attack_args(tmp_path, capsys, "--x0-seed", "1", "--target", "nan,0,0,0,0,0")
 
@@ -429,6 +446,7 @@ def _eval_target_below_zero(tmp_path, capsys):
 MALFORMED_CODES = {
     _unknown_transition_kind: "kind_invalid",
     _sweep_zero_p: "wrong_norm",
+    _simulate_oracle_flip: "wrong_action",
     _nan_target: "probability_out_of_range",
     _target_above_one: "probability_out_of_range",
     _eval_target_below_zero: "probability_out_of_range",
@@ -480,6 +498,7 @@ MALFORMED_CODES = {
         _attack_negative_x0_seed,
         _attack_negative_random_seed,
         _simulate_negative_seed,
+        _simulate_oracle_flip,
         _nan_target,
         _target_above_one,
         _eval_target_below_zero,

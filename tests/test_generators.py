@@ -120,6 +120,12 @@ def test_theorem1_oracle_gives_up_over_budget():
     assert theorem1_oracle_adversary(model, [1, 1, 1], 2).indices == ()
 
 
+def test_theorem1_oracle_rejects_a_fractional_realization():
+    with pytest.raises(ValidationError) as err:
+        theorem1_oracle_adversary(gen_theorem1(4), [0.6, 0, 0, 0], 2)
+    assert err.value.code == "realization_invalid"
+
+
 def test_theorem1_oracle_rejects_other_models():
     model = random_model(np.random.default_rng(1), n0=4, n1=4)
     with pytest.raises(ValidationError) as err:

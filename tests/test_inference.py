@@ -13,16 +13,20 @@ from halftruth import (
     additive,
     disagreement,
     flipped_posterior,
+    general,
+    induced_posterior,
     linear,
     lkm_distance,
     lkm_from_counts,
     masked_posterior,
     objective_value,
     poisson_binomial_pmf,
+    transition_prob,
     true_posterior,
     validate_model,
 )
 from halftruth.inference import Evaluator, check_norm, check_target
+from halftruth.model import check_realization
 from oracles import enumerate_hide_posterior, enumerate_lkm, enumerate_lkm_fast, random_model
 
 INF = math.inf
@@ -98,12 +102,66 @@ def test_flipped_posterior_wrong_action(toy):
 
 
 @pytest.mark.parametrize(
-    "x0, code", [([1, 0], "length_mismatch"), ([1, 2, 0], "realization_invalid")]
+    "x0, code",
+    [
+        ([1, 0], "length_mismatch"),
+        ([1, 2, 0], "realization_invalid"),
+        ([0.6, 1, 0], "realization_invalid"),
+        ("101", "realization_invalid"),
+        ([math.nan, 1, 0], "realization_invalid"),
+        ([True, 0, 1], "realization_invalid"),
+    ],
 )
 def test_posterior_rejects_bad_realization(toy, x0, code):
     with pytest.raises(ValidationError) as err:
         true_posterior(toy, x0)
     assert err.value.code == code
+
+
+def test_realization_keeps_integral_floats_and_numpy_integers(toy):
+    assert check_realization(toy, [1.0, np.int64(0), 1]) == (1, 0, 1)
+
+
+def nested_loop_hide(model, x0, hidden, node):
+    """A general node's hide marginal: every hidden assignment, one bit at a time."""
+    pos = {j: k for k, j in enumerate(node.parents)}
+    hid = [j for j in node.parents if j in hidden]
+    base = 0
+    for j in node.parents:
+        if j not in hidden and x0[j]:
+            base |= 1 << pos[j]
+    total = 0.0
+    for assign in range(1 << len(hid)):
+        w = 1.0
+        idx = base
+        for b, j in enumerate(hid):
+            if (assign >> b) & 1:
+                w *= model.priors[j]
+                idx |= 1 << pos[j]
+            else:
+                w *= 1.0 - model.priors[j]
+        total += w * node.transition.values[idx]
+    return total
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_general_node_with_up_to_ten_hidden_parents(seed):
+    rng = np.random.default_rng(seed)
+    n0 = 14
+    parents = sorted(rng.choice(n0, size=12, replace=False).tolist())
+    node = Stage1Node(parents, general(rng.random(1 << 12)))
+    model = DbnModel(n0, rng.random(n0), [node])
+    x0 = tuple(rng.integers(0, 2, n0).tolist())
+    for h in range(11):
+        # h of the node's parents plus one index outside them.
+        chosen = rng.choice(parents, size=h, replace=False).tolist()
+        outside = [j for j in range(n0) if j not in parents]
+        indices = sorted(chosen + outside[:1])
+        hidden = induced_posterior(model, x0, Mask(indices, "hide"))[0]
+        assert hidden.hex() == nested_loop_hide(model, x0, set(indices), node).hex()
+        flipped = induced_posterior(model, x0, Mask(indices, "flip"))[0]
+        shown = [x0[j] ^ (j in indices) for j in parents]
+        assert flipped.hex() == transition_prob(node, shown).hex()
 
 
 def test_disagreement_examples():

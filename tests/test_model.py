@@ -1,5 +1,7 @@
 """Model construction, validation, transitions, and JSON round trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -108,6 +110,12 @@ def test_transition_prob_linear_dot():
     assert transition_prob(node, [1, 1]) == pytest.approx(0.5)
 
 
+def test_transition_prob_linear_adds_left_to_right():
+    # The same bits on every Python: 3.12's compensated sum() gives 1.0 here.
+    node = Stage1Node(range(10), linear([0.1] * 10))
+    assert transition_prob(node, [1] * 10) == 0.9999999999999999
+
+
 def test_transition_prob_general_bitmask():
     # table indexed with parent j at bit j: assignment (1, 0) -> index 1
     node = Stage1Node((0, 1), general([0.0, 0.7, 0.2, 1.0]))
@@ -153,6 +161,17 @@ def test_additive_to_general_agrees_everywhere(seed):
 
 def test_mask_sorts_indices():
     assert Mask([3, 1, 2]).indices == (1, 2, 3)
+
+
+@pytest.mark.parametrize("indices", [[0.7], ["1", "2"], [True], [math.nan], [1, 2.5]])
+def test_mask_rejects_non_integral_indices(indices):
+    with pytest.raises(ValidationError) as err:
+        Mask(indices)
+    assert err.value.code == "mask_invalid"
+
+
+def test_mask_keeps_integral_floats_and_numpy_integers():
+    assert Mask([2.0, np.int64(0)]).indices == (0, 2)
 
 
 def test_mask_rejects_duplicates():

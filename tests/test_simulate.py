@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from halftruth import (
+    AttackProblem,
     DbnModel,
     Mask,
     SimConfig,
@@ -23,6 +24,7 @@ from halftruth import (
     oracle_policy,
     run_expectation,
     run_sampled_distance,
+    solve,
     theorem1_closed_form,
     true_posterior,
 )
@@ -75,6 +77,22 @@ def test_oracle_means_same_bits_on_loaded_model(n):
         for m in (generated, loaded)
     ]
     assert means[0] == means[1]
+
+
+def test_oracle_policy_refuses_flip():
+    config = SimConfig(
+        model=gen_theorem1(6), policy=oracle_policy, budget=6, action="flip", trials=20, seed=1
+    )
+    with pytest.raises(ValidationError) as err:
+        run_expectation(config)
+    assert err.value.code == "wrong_action"
+
+
+def test_algorithm_policy_returns_the_solver_mask():
+    model = gen_theorem1(6)
+    problem = AttackProblem(model, (0, 1, 0, 0, 1, 0), 2)
+    mask = make_algorithm_policy("heuristic")(problem, None)
+    assert mask == solve(problem, "heuristic").mask
 
 
 def test_expectation_matches_closed_form_small_n():
