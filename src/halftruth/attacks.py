@@ -29,9 +29,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from .inference import Evaluator, check_action, check_norm, check_target, true_posterior
 # induced_posterior is not called here, but stays importable from this module
 # by name: perfbench/selftest.py checks that the tracer patches it here.
-from .inference import Evaluator, check_norm, check_target, induced_posterior, true_posterior
+from .inference import induced_posterior
 from .model import (
     ADDITIVE,
     FLIP,
@@ -52,12 +53,6 @@ BATCH_SIZE = 256
 def check_budget(budget) -> int:
     """A mask budget as an int: any integer >= 0 (capped at n0 by the problem)."""
     return check_integer(budget, 0, "budget")
-
-
-def check_action(action: str) -> str:
-    if action not in (HIDE, FLIP):
-        raise ValidationError("wrong_action", f"unknown action {action!r}")
-    return action
 
 
 @dataclass(frozen=True)

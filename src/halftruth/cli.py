@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import time
 
@@ -46,6 +47,7 @@ from .model import (
     json_object,
     json_value,
     load_model,
+    read_text,
     save_model,
     validate_model,
 )
@@ -71,10 +73,12 @@ def _parse_p(text: str):
 
 
 def _parse_csv(text: str, convert) -> list:
+    """Entries separated by a comma, whitespace or both; an empty field is an error."""
+    text = text.strip()
     try:
-        return [convert(tok) for tok in text.split(",")] if text.strip() else []
+        return [convert(tok) for tok in re.split(r"\s*,\s*|\s+", text)] if text else []
     except ValueError:
-        raise ValidationError("spec_invalid", f"not a comma-separated list: {text!r}") from None
+        raise ValidationError("spec_invalid", f"not a list of numbers: {text!r}") from None
 
 
 def _resolve_x0(args, model) -> tuple[int, ...]:
@@ -86,8 +90,7 @@ def _resolve_x0(args, model) -> tuple[int, ...]:
     if args.x0 is not None:
         return tuple(_parse_csv(args.x0, int))
     if args.x0_file is not None:
-        with open(args.x0_file, "r", encoding="utf-8") as fh:
-            return tuple(_parse_csv(fh.read().replace("\n", ",").replace(" ", ","), int))
+        return tuple(_parse_csv(read_text(args.x0_file), int))
     return draw_realization(model, realization_rng(args.x0_seed))
 
 
@@ -266,11 +269,10 @@ def _solve_cell(sweep, spec: GenSpec, k: int):
 
 
 def cmd_sweep(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            sweep = _read_sweep(json.load(fh))
-        except json.JSONDecodeError as exc:
-            raise ValidationError("spec_invalid", f"malformed sweep config: {exc}") from exc
+    try:
+        sweep = _read_sweep(json.loads(read_text(args.config)))
+    except json.JSONDecodeError as exc:
+        raise ValidationError("spec_invalid", f"malformed sweep config: {exc}") from exc
     grid = _sweep_grid(sweep)
     p_text = "inf" if sweep.p == math.inf else str(sweep.p)
     lines = ["family,n,k,p,algorithm,trial,seed,value,opt_value,ratio,wall_ms"]

@@ -175,6 +175,7 @@ def theorem1_oracle_adversary(model: DbnModel, x0: Sequence[int], k: int) -> Mas
     if not _looks_like_theorem1(model):
         raise ValidationError("wrong_family", "model was not built by gen_theorem1")
     bits = check_realization(model, x0)
+    k = check_integer(k, 0, "budget")
     ones = [j for j, v in enumerate(bits) if v]
     if not ones:
         return Mask(range(min(k, model.n0)))

@@ -48,6 +48,12 @@ def check_norm(p) -> float | int:
     raise ValidationError("wrong_norm", f"norm exponent must be a positive integer or inf: {p!r}")
 
 
+def check_action(action: str) -> str:
+    if action not in (HIDE, FLIP):
+        raise ValidationError("wrong_action", f"unknown action {action!r}")
+    return action
+
+
 def check_target(model: DbnModel, target: Sequence[float]) -> np.ndarray:
     """Target marginals as floats: one per stage-1 node, each in [0, 1]."""
     t = np.asarray(target, dtype=float)
@@ -239,12 +245,11 @@ class Evaluator:
     ``node_reuses`` those taken from the memo instead.
 
     A node's marginal depends only on the mask's bits among its parents, so
-    the evaluator keeps the node values of a base mask and of the empty mask.
-    A mask starts from whichever of the two differs from it in fewer
-    indices and recomputes only the children (``DbnModel.children``) of
-    those indices.  :meth:`batch` scores many masks at once, with one
-    Poisson-binomial convolution for all of them; :meth:`__call__` is its
-    one-mask case.
+    :meth:`batch` starts each mask from the node values of the call's base
+    mask (default: the empty mask) and recomputes only the children
+    (``DbnModel.children``) of the indices where the two differ.  It scores
+    all its masks with one Poisson-binomial convolution; :meth:`__call__` is
+    its one-mask case.  No mask is kept from one call to the next.
 
     A recomputed node first looks in a memo keyed by its ``node_table``
     slot and the mask's indices among its parents, as an int with bit j for
@@ -264,13 +269,12 @@ class Evaluator:
         action: str = HIDE,
         target: Sequence[float] | None = None,
     ):
-        self.model, self.x0, self.p, self.action = model, x0, check_norm(p), action
+        self.model, self.x0, self.p, self.action = model, x0, check_norm(p), check_action(action)
         self._bits = check_realization(model, x0)
         true = true_posterior(model, x0)
         unique, self._slots = model.node_table
         # Node values under the empty mask, which are the same for both actions.
         self._empty = true[[i for i, _ in unique]]
-        self._base, self._base_values = frozenset(), self._empty
         # Per slot: its parents as bits, and the memo, which starts with the
         # empty mask's values under key 0.
         self._parent_bits = [sum(1 << j for j in node.parents) for _, node in unique]
@@ -278,48 +282,44 @@ class Evaluator:
         self.calls = 0
         self.node_posteriors = len(unique)
         self.node_reuses = 0
-        if target is None:
-            self._ref = true
-            self._sign = 1.0
-        else:
-            self._ref = check_target(model, target)
-            self._sign = -1.0
+        self._ref = true if target is None else check_target(model, target)
+        self._sign = 1.0 if target is None else -1.0
 
     def __call__(self, indices: Iterable[int]) -> float:
-        """Score one mask, which becomes the base."""
-        return self.batch([indices], base=indices)[0]
+        """Score one mask."""
+        return self.batch([indices])[0]
 
     def batch(
         self, masks: Sequence[Iterable[int]], base: Iterable[int] | None = None
     ) -> list[float]:
         """Scores of ``masks``, in order.
 
-        ``base`` (default: the current one) becomes the base mask first.
-        Each mask starts from the base or the empty mask, whichever differs
-        from it in fewer indices, so a climb step that adds one index to the
-        base recomputes that index's children.
+        Each mask starts from ``base`` (default: the empty mask), so a climb
+        step that adds one index to its base recomputes that index's children.
         """
         self.calls += len(masks)
+        start = frozenset(), self._empty
         if base is not None:
             values = np.empty_like(self._empty)
-            self._base, self._base_values = self._fill(values, base), values
+            start = self._fill(values, base, start), values
         rows = np.empty((len(masks), self._empty.size))
         for row, indices in zip(rows, masks):
-            self._fill(row, indices)
+            self._fill(row, indices, start)
         d = disagreement(self._ref, rows[:, self._slots])
         return [self._sign * value for value in _distances(d, self.p)]
 
-    def _fill(self, out: np.ndarray, indices: Iterable[int]) -> frozenset[int]:
-        """Write one mask's node values into ``out``; return its index set."""
+    def _fill(self, out: np.ndarray, indices: Iterable[int], start: tuple) -> frozenset[int]:
+        """Write one mask's node values into ``out``; return its index set.
+
+        ``start`` is the index set and node values of the mask to start from.
+        """
         mask = Mask(indices, self.action)
         check_mask_indices(self.model, mask)
         chosen = frozenset(mask.indices)
-        changed, start = chosen, self._empty
-        if len(chosen ^ self._base) < len(chosen):
-            changed, start = chosen ^ self._base, self._base_values
-        out[:] = start
+        base, base_values = start
+        out[:] = base_values
         unique, children = self.model.node_table[0], self.model.children
-        touched = sorted(set().union(*(children[j] for j in changed)))
+        touched = sorted(set().union(*(children[j] for j in chosen ^ base)))
         code = sum(1 << j for j in chosen)
         computed = 0
         for s in touched:

@@ -292,12 +292,12 @@ def _validate_transition(i: int, node: Stage1Node) -> None:
                 f"node {i}: {len(t.values)} linear coefficients for {npar} parents",
                 node=i,
             )
-        # Written so that NaN fails both comparisons.
-        if any(not c >= 0 for c in t.values) or not sum(t.values) <= 1.0 + 1e-15:
+        # Summed as they are scored.  Written so that NaN fails both comparisons.
+        total = transition_prob(node, [1] * npar)
+        if any(not c >= 0 for c in t.values) or not total <= 1.0 + 1e-15:
             raise ValidationError(
                 "linear_coeffs_invalid",
-                f"node {i}: linear coefficients must be >= 0 and sum to <= 1 "
-                f"(sum {sum(t.values)})",
+                f"node {i}: linear coefficients must be >= 0 and sum to <= 1 (sum {total})",
                 node=i,
             )
     else:
@@ -494,6 +494,14 @@ def save_model(model: DbnModel, path) -> None:
         fh.write(model_to_json(model))
 
 
-def load_model(path) -> DbnModel:
+def read_text(path) -> str:
+    """A file's text, which must be UTF-8 (``spec_invalid`` naming the path if not)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise _spec_error(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def load_model(path) -> DbnModel:
+    return model_from_json(read_text(path))

@@ -69,7 +69,6 @@ class SimConfig:
     target: tuple[float, ...] | None = None
     trials: int = 1000
     seed: int = 0
-    keep_values: bool = False
 
     def __post_init__(self):
         check_integer(self.trials, 1, "trials")
@@ -81,22 +80,16 @@ class SimReport:
     se: float
     trials: int
     wall_ms: int
-    values: tuple[float, ...] | None = None
+    values: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         return {"mean": self.mean, "se": self.se, "trials": self.trials, "wall_ms": self.wall_ms}
 
 
-def _summarize(values: list[float], wall_ms: int, keep: bool) -> SimReport:
+def _summarize(values: list[float], wall_ms: int) -> SimReport:
     arr = np.asarray(values)
     se = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return SimReport(
-        mean=float(arr.mean()),
-        se=se,
-        trials=arr.size,
-        wall_ms=wall_ms,
-        values=tuple(values) if keep else None,
-    )
+    return SimReport(float(arr.mean()), se, arr.size, wall_ms, tuple(values))
 
 
 def run_expectation(config: SimConfig) -> SimReport:
@@ -116,7 +109,7 @@ def run_expectation(config: SimConfig) -> SimReport:
         mask = config.policy(problem, baseline_seed(seed))
         values.append(objective_value(config.model, x0, mask, config.p, config.target))
     wall_ms = int(round((time.perf_counter() - start) * 1000))
-    return _summarize(values, wall_ms, config.keep_values)
+    return _summarize(values, wall_ms)
 
 
 def run_sampled_distance(
@@ -126,7 +119,6 @@ def run_sampled_distance(
     p,
     trials: int,
     seed: int,
-    keep_values: bool = False,
 ) -> SimReport:
     """Estimate the expected Lp distance by sampling both posteriors.
 
@@ -151,4 +143,4 @@ def run_sampled_distance(
         else:
             values.append(m ** (1.0 / p) if m else 0.0)
     wall_ms = int(round((time.perf_counter() - start) * 1000))
-    return _summarize(values, wall_ms, keep_values)
+    return _summarize(values, wall_ms)

@@ -271,6 +271,30 @@ def _non_integer_x0(tmp_path, capsys):
     return ["attack", "--model", str(path), "--x0", "1,a", "--algorithm", "heuristic", "--k", "1"]
 
 
+def _non_utf8_model(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"n0": 1, "priors": [0.5], "nodes": []}\xff')
+    return ["eval", "--model", str(path), "--x0", "1", "--mask", ""]
+
+
+def _non_utf8_sweep_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff")
+    return ["sweep", "--config", str(path)]
+
+
+def _non_utf8_x0_file(tmp_path, capsys):
+    path = tmp_path / "x0.txt"
+    path.write_bytes(b"1,0,1,0,1,\xff")
+    return _attack_args(tmp_path, capsys, "--x0-file", str(path))
+
+
+def _x0_file_with_an_empty_field(tmp_path, capsys):
+    path = tmp_path / "x0.txt"
+    path.write_text("1,0,,1,0,1,0\n")
+    return _attack_args(tmp_path, capsys, "--x0-file", str(path))
+
+
 def _sweep_without_family(tmp_path, capsys):
     cfg_path, cfg = sweep_config(tmp_path)
     del cfg["family"]
@@ -459,6 +483,10 @@ MALFORMED_CODES = {
         _malformed_model_json,
         _malformed_sweep_json,
         _non_integer_x0,
+        _non_utf8_model,
+        _non_utf8_sweep_config,
+        _non_utf8_x0_file,
+        _x0_file_with_an_empty_field,
         _sweep_without_family,
         _unknown_transition_kind,
         _string_parents,
@@ -510,6 +538,34 @@ def test_malformed_input_exits_2(tmp_path, capsys, make_argv):
     assert f"error ({MALFORMED_CODES.get(make_argv, 'spec_invalid')})" in err
     assert out == ""
     assert not (tmp_path / "sweep.csv").exists()
+
+
+def test_non_utf8_file_is_named(tmp_path, capsys):
+    argv = _non_utf8_sweep_config(tmp_path, capsys)
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{tmp_path / 'config.json'}: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1,0,1,1,0,0\n",
+        "1, 0, 1, 1, 0, 0",
+        "1 0 1 1 0 0\n",
+        "1\n0\n1\n1\n0\n0\n",
+        " 1 ,0,1\t1,0 0 \n",
+    ],
+    ids=["trailing_newline", "comma_space", "spaces", "lines", "mixed"],
+)
+def test_x0_file_separators(tmp_path, capsys, text):
+    x0_path = tmp_path / "x0.txt"
+    x0_path.write_text(text)
+    argv = _attack_args(tmp_path, capsys, "--x0-file", str(x0_path))
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    argv[argv.index("--x0-file") : argv.index("--x0-file") + 2] = ["--x0", "1,0,1,1,0,0"]
+    assert run(capsys, *argv) == (0, out, "")
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ from halftruth import (
     GenSpec,
     Mask,
     Stage1Node,
+    ValidationError,
     disagreement,
     gen_theorem1,
     generate,
@@ -63,7 +64,7 @@ def test_batch_matches_single_calls_bit_for_bit(family, monotone, action):
         for p in NORMS:
             for tgt in (None, target):
                 evaluate = Evaluator(model, x0, p, action, tgt)
-                # Twice: once moving the base, once from the moved base.
+                # Twice: once from the base, once from the empty mask.
                 batched = evaluate.batch(masks, base=base) + evaluate.batch(masks)
                 single = [Evaluator(model, x0, p, action, tgt)(mask) for mask in masks]
                 scratch = [from_scratch(model, x0, m, p, action, tgt) for m in masks]
@@ -130,7 +131,7 @@ def test_dense_parents_recompute_every_node():
     assert evaluate.node_reuses == 0
 
 
-def test_each_mask_starts_from_the_base_or_the_empty_mask():
+def test_each_mask_starts_from_the_calls_base():
     model, x0 = _instance("random_additive", True, 3)
     children, unique = model.children, model.node_table[0]
     chain = [4, 17, 9, 28, 0, 21]
@@ -149,3 +150,25 @@ def test_each_mask_starts_from_the_base_or_the_empty_mask():
         for s in slots
     }
     assert evaluate.node_posteriors - before == len(states)
+
+
+def test_no_mask_is_kept_between_calls():
+    model, x0 = _instance("random_additive", True, 3)
+    children = model.children
+    evaluate = Evaluator(model, x0, 2)
+    evaluate.batch([[4, 17, 9]], base=[4, 17, 9])
+    before = evaluate.node_posteriors + evaluate.node_reuses
+    masks = [[4, 17, 9], [4, 17, 9, 28], [0]]
+    evaluate.batch(masks)
+    # Without a base, every mask starts from the empty mask, whatever the
+    # previous call's base was.
+    touched = sum(len(set().union(*(children[j] for j in mask))) for mask in masks)
+    assert touched == 21
+    assert evaluate.node_posteriors + evaluate.node_reuses - before == touched
+
+
+def test_evaluator_checks_its_action():
+    model, x0 = _instance("random_additive", True, 0)
+    with pytest.raises(ValidationError) as err:
+        Evaluator(model, x0, 1, "bogus")
+    assert err.value.code == "wrong_action"

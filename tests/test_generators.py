@@ -126,6 +126,17 @@ def test_theorem1_oracle_rejects_a_fractional_realization():
     assert err.value.code == "realization_invalid"
 
 
+@pytest.mark.parametrize("k", [2.5, 0.5, -1, True, "2"])
+def test_theorem1_oracle_rejects_a_bad_budget(k):
+    with pytest.raises(ValidationError) as err:
+        theorem1_oracle_adversary(gen_theorem1(4), [0, 0, 0, 0], k)
+    assert err.value.code == "spec_invalid"
+
+
+def test_theorem1_oracle_keeps_an_integral_float_budget():
+    assert theorem1_oracle_adversary(gen_theorem1(4), [0, 0, 0, 0], 2.0).indices == (0, 1)
+
+
 def test_theorem1_oracle_rejects_other_models():
     model = random_model(np.random.default_rng(1), n0=4, n1=4)
     with pytest.raises(ValidationError) as err:

@@ -44,9 +44,18 @@ def test_prior_out_of_range():
 
 def test_linear_coeff_sum_above_one():
     model = one_node(linear([0.6, 0.6]), n0=2, priors=(0.5, 0.5), parents=(0, 1))
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ValidationError, match=r"\(sum 1\.2\)") as err:
         validate_model(model)
     assert err.value.code == "linear_coeffs_invalid"
+
+
+def test_linear_coeffs_sum_as_they_are_scored():
+    # sum() gives 1.000000000000002 here from Python 3.12 on; the left-to-right
+    # sum that transition_prob scores with gives 1.0 on every version.
+    coeffs = [1.0] + [1e-16] * 20
+    node = Stage1Node(range(21), linear(coeffs))
+    assert transition_prob(node, [1] * 21) == 1.0
+    validate_model(DbnModel(21, [0.5] * 21, [node]))
 
 
 def test_negative_linear_coeff():

@@ -60,7 +60,6 @@ def test_expectation_reproducible_bit_exact():
         budget=12,
         trials=64,
         seed=99,
-        keep_values=True,
     )
     a, b = run_expectation(config), run_expectation(config)
     assert a.mean == b.mean and a.se == b.se and a.values == b.values
@@ -140,7 +139,7 @@ def test_sampled_distance_reads_integral_floats_as_integers():
     model = two_indicator_model()
 
     def values(p, seed):
-        report = run_sampled_distance(model, (0, 0), Mask([0, 1]), p, 50, seed, keep_values=True)
+        report = run_sampled_distance(model, (0, 0), Mask([0, 1]), p, 50, seed)
         return report.values
 
     assert values(2.0, 4.0) == values(2, 4) == values(np.int64(2), np.int64(4))
