@@ -120,36 +120,58 @@ def _node_value(
     node: Stage1Node,
     i: int,
 ) -> float:
-    """One node's marginal under a mask, given the mask's indices; reads only its parents."""
+    """One node's marginal under a mask, given the mask's indices; reads only its parents.
+
+    Additive hide convolves the hidden priors with :func:`_scalar_pmf` up to
+    ``_SCALAR_PMF_MAX`` of them and with :func:`poisson_binomial_pmf` above;
+    both give the same bits.  General hide builds the weights and table
+    offsets of the ``2^h`` hidden assignments and the shown parents' bits
+    ``base`` in one pass over the parents.
+    """
     if action == FLIP:
         return transition_prob(node, [bits[j] ^ (j in masked) for j in node.parents])
     t = node.transition
-    hidden = [j for j in node.parents if j in masked]
-    if not hidden or t.kind == LINEAR:
+    if t.kind == ADDITIVE:
+        hidden, obs_sum = [], 0
+        for j in node.parents:
+            if j in masked:
+                hidden.append(model.priors[j])
+            else:
+                obs_sum += bits[j]
+        if not hidden:
+            return t.values[obs_sum]
+        h = len(hidden)
+        pmf = _scalar_pmf(hidden) if h <= _SCALAR_PMF_MAX else poisson_binomial_pmf(hidden)
+        # numpy's dot, not a Python loop: the summation order changes bits.
+        return float(np.asarray(pmf) @ t.values_array[obs_sum : obs_sum + h + 1])
+    if t.kind == LINEAR:
         shown = [model.priors[j] if j in masked else bits[j] for j in node.parents]
         return transition_prob(node, shown)
-    if t.kind == ADDITIVE:
-        obs_sum = sum([bits[j] for j in node.parents if j not in masked])
-        pmf = poisson_binomial_pmf([model.priors[j] for j in hidden])
-        return float(pmf @ t.values_array[obs_sum : obs_sum + len(hidden) + 1])
-    if len(hidden) > PARENT_CAP:
-        raise ValidationError(
-            "parent_cap_exceeded",
-            f"node {i}: {len(hidden)} hidden parents exceeds the enumeration cap",
-            node=i,
-        )
+    if len(node.parents) > PARENT_CAP:
+        h = sum(j in masked for j in node.parents)
+        if h > PARENT_CAP:
+            raise ValidationError(
+                "parent_cap_exceeded",
+                f"node {i}: {h} hidden parents exceeds the enumeration cap",
+                node=i,
+            )
     # The 2^h hidden assignments in counter order, the first hidden parent as
     # the lowest bit: each weight multiplies its factors in parent order.
-    base = sum(1 << k for k, j in enumerate(node.parents) if j not in masked and bits[j])
-    weights, indices = [1.0], [base]
+    base, weights, offsets = 0, [1.0], [0]
     for k, j in enumerate(node.parents):
         if j in masked:
             p = model.priors[j]
-            weights = [w * (1.0 - p) for w in weights] + [w * p for w in weights]
-            indices += [idx | 1 << k for idx in indices]
+            q = 1.0 - p
+            weights = [w * q for w in weights] + [w * p for w in weights]
+            offsets += [idx | 1 << k for idx in offsets]
+        elif bits[j]:
+            base |= 1 << k
+    values = t.values
+    if len(offsets) == 1:
+        return values[base]
     total = 0.0
-    for w, idx in zip(weights, indices):
-        total += w * t.values[idx]
+    for w, idx in zip(weights, offsets):
+        total += w * values[idx | base]
     return total
 
 
@@ -173,7 +195,10 @@ def poisson_binomial_pmf(d: Sequence[float]) -> np.ndarray:
     Plain O(n^2) convolution; entries stay nonnegative by construction and the
     result sums to 1 up to roundoff.  ``d`` may also be a matrix of
     independent rows: the convolution then runs column by column over all
-    rows at once and returns one PMF per row.
+    rows at once and returns one PMF per row.  The evaluator scores a batch's
+    disagreements here; a node-value miss uses it only above
+    ``_SCALAR_PMF_MAX`` hidden priors, where numpy's per-column overhead is
+    paid back (below, :func:`_scalar_pmf` gives the same bits faster).
     """
     cols = np.asarray(d, dtype=float).T
     # Counts on the first axis, so each step slices whole rows of ``pmf``;
@@ -187,6 +212,31 @@ def poisson_binomial_pmf(d: Sequence[float]) -> np.ndarray:
     return np.ascontiguousarray(pmf.T)
 
 
+# Up to this many priors, the list DP below is faster than the numpy one; the
+# two cross between 88 and 100 priors (per call, 2-core x86-64, numpy 2.4).
+_SCALAR_PMF_MAX = 88
+
+
+def _scalar_pmf(priors: Sequence[float]) -> list[float]:
+    """:func:`poisson_binomial_pmf` of one short list, as a list with the same bits.
+
+    Each entry takes the numpy DP's operations: ``pmf[m] * q + pmf[m - 1] * p``,
+    the new top entry as ``0.0 * q + pmf[k] * p`` (so a ``-0.0`` prior gives
+    ``0.0``, as the zero-filled array does), then ``pmf[0] * q``.
+    """
+    pmf = [1.0]
+    for p in priors:
+        q = 1.0 - p
+        prev = pmf[0]
+        pmf[0] = prev * q
+        for m in range(1, len(pmf)):
+            cur = pmf[m]
+            pmf[m] = cur * q + prev * p
+            prev = cur
+        pmf.append(0.0 * q + prev * p)
+    return pmf
+
+
 def _count_weights(size: int, p) -> np.ndarray:
     """``m^(1/p)`` for counts m = 1..size, with ``m^(1/inf) = 1``."""
     if p == Infinity:
@@ -198,9 +248,10 @@ def lkm_from_counts(pmf: Sequence[float], p) -> float:
     """Expected p-th-root distance given the disagreement-count distribution.
 
     ``sum_m m^(1/p) pmf[m]`` with ``m^(1/inf) = 1``; the m = 0 term vanishes.
+    Every entry must lie in [0, 1].
     """
     p = check_norm(p)
-    arr = np.asarray(pmf, dtype=float)
+    arr = _check_unit(np.asarray(pmf, dtype=float), "count probabilities")
     if arr.size <= 1:
         return 0.0
     return float(arr[1:] @ _count_weights(arr.size - 1, p))

@@ -1,9 +1,14 @@
 """Command-line surface: files, exit codes, determinism, replayability."""
 
+import contextlib
+import io
 import json
 import math
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from halftruth import (
     AttackProblem,
@@ -15,6 +20,7 @@ from halftruth import (
 )
 from halftruth import cli
 from halftruth.cli import _read_sweep, _sweep_budget, main
+from halftruth.generators import FAMILIES
 
 
 def run(capsys, *argv):
@@ -649,3 +655,91 @@ def test_simulate_reports_expectation(tmp_path, capsys):
     assert set(doc) == {"mean", "se", "trials", "wall_ms"}
     assert doc["trials"] == 50
     assert doc["mean"] > 0
+
+
+# Flag values for the CLI fuzz, each list led by a valid one, then near misses.
+# Sizes stay small, so that no mix builds a large model or runs a long search.
+SMALL_INTS = ["2", "-1", "0", "1", "3", "7", "1.5", "nan", "x", ""]
+FLOATS = ["0.3", "0", "1", "-0", "-0.5", "1.5", "nan", "inf", "1e-320", "x"]
+NORM_TEXTS = ["2", "1", "3", "inf", "0", "-1", "nan", "2.5", "x"]
+BITS = ["1,0,1,0,1,0", "0 0 0 0 0 0", "1,0", "1,,0", "2,0,0,0,0,0", "", "nan", "1.0,0,1,0,1,0"]
+TARGETS = ["0.5,0.5,0.5,0.5,0.5,0.5", "-0,0,1,1,1e-320,0.5", "nan,0,0,0,0,0", "1.5", "", "0.5"]
+MASKS = ["0,3", "", "0", "5", "6", "-1", "0,0", "1.5", "x", "0 1 2 3 4 5"]
+ACTIONS = ["hide", "flip", "bogus"]
+ALGORITHM_NAMES = ["heuristic", *sorted(cli.ALGORITHMS), "bogus"]
+
+
+@pytest.fixture(scope="module")
+def cli_fuzz(tmp_path_factory):
+    """The fuzz's directory, holding models valid and broken, realization files and
+    outputs, and each subcommand's flags naming them."""
+    root = tmp_path_factory.mktemp("cli-fuzz")
+    for family in ("random_additive", "random_general", "random_linear"):
+        assert main(["gen", "--family", family, "--n", "6", "--density", "0.4", "--seed", "3",
+                     "--out", str(root / f"{family}.json")]) == 0
+    (root / "broken.json").write_text('{"n0": 2, "priors": [0.5,')
+    (root / "latin1.json").write_bytes(b"\xff")
+    (root / "x0.txt").write_text("1 0 1 0 1 0\n")
+    (root / "x0-bad.txt").write_text("1,a")
+    (root / "outs").mkdir()
+    models = [str(root / name) for name in (
+        "random_additive.json", "random_general.json", "random_linear.json",
+        "broken.json", "latin1.json", "missing.json", "outs")]
+    x0_files = [str(root / "x0.txt"), str(root / "x0-bad.txt"), str(root / "missing.txt")]
+    outs = [str(root / "outs" / "a.json"), str(root / "no-dir" / "a.json"), str(root / "outs")]
+    return root, fuzz_flags(models, x0_files, outs)
+
+
+def fuzz_flags(models, x0_files, outs):
+    """Per subcommand: the flags a run needs, and every flag with its values (None: no value)."""
+    instance = {
+        "--model": models, "--x0": BITS, "--x0-file": x0_files, "--x0-seed": SMALL_INTS,
+        "--p": NORM_TEXTS, "--action": ACTIONS, "--target": TARGETS,
+    }
+    return {
+        "gen": (["--family", "--n"], {
+            "--family": ["random_additive", *FAMILIES, "bogus"], "--n": SMALL_INTS,
+            "--n1": SMALL_INTS, "--density": FLOATS, "--monotone": None, "--eps": FLOATS,
+            "--seed": SMALL_INTS, "--out": outs,
+        }),
+        "attack": (["--model", "--x0-seed", "--algorithm", "--k"], {
+            **instance, "--algorithm": ALGORITHM_NAMES, "--k": SMALL_INTS,
+            "--seed": SMALL_INTS, "--out": outs,
+        }),
+        "eval": (["--model", "--x0-seed", "--mask"], {**instance, "--mask": MASKS}),
+        # --trials defaults to 1000, so the fuzz almost always sets it.
+        "simulate": (["--model", "--algorithm", "--k", "--trials"], {
+            "--model": models, "--algorithm": [*ALGORITHM_NAMES, "oracle"], "--k": SMALL_INTS,
+            "--p": NORM_TEXTS, "--action": ACTIONS, "--trials": ["3", "-1", "0", "1.5", "x"],
+            "--seed": SMALL_INTS,
+        }),
+    }
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_cli_flag_mixes_exit_cleanly(cli_fuzz, data):
+    root, commands = cli_fuzz
+    command = data.draw(st.sampled_from(sorted(commands)))
+    required, flags = commands[command]
+    # Each needed flag is usually there; a few more, or an unknown one, may follow.
+    chosen = [flag for flag in required if data.draw(st.integers(0, 9))]
+    chosen += data.draw(st.lists(st.sampled_from([*flags, "--bogus"]), max_size=4))
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        values = flags.get(flag)
+        if values is not None:
+            argv.append(values[0] if data.draw(st.booleans()) else data.draw(st.sampled_from(values)))
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)  # where gen writes its default model.json
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors; any other exception fails the test
+        code = exc.code
+    finally:
+        os.chdir(cwd)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "nan" not in out.getvalue().lower(), argv

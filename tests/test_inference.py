@@ -25,7 +25,7 @@ from halftruth import (
     true_posterior,
     validate_model,
 )
-from halftruth.inference import Evaluator, check_norm, check_target
+from halftruth.inference import _SCALAR_PMF_MAX, Evaluator, _scalar_pmf, check_norm, check_target
 from halftruth.model import check_realization
 from oracles import enumerate_hide_posterior, enumerate_lkm, enumerate_lkm_fast, random_model
 
@@ -130,6 +130,8 @@ def nested_loop_hide(model, x0, hidden, node):
     for j in node.parents:
         if j not in hidden and x0[j]:
             base |= 1 << pos[j]
+    if not hid:
+        return node.transition.values[base]
     total = 0.0
     for assign in range(1 << len(hid)):
         w = 1.0
@@ -144,14 +146,31 @@ def nested_loop_hide(model, x0, hidden, node):
     return total
 
 
+# Priors and table entries where a changed operation would show in the bits.
+EDGE_VALUES = (-0.0, 0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308)
+
+
+def with_edge_values(rng, values, share=0.25):
+    """``values`` with about ``share`` of its entries replaced by edge values, one by -0.0."""
+    out = np.array(values, dtype=float)
+    hit = rng.random(out.size) < share
+    out[hit] = rng.choice(EDGE_VALUES, size=int(hit.sum()))
+    if share:
+        out[rng.integers(out.size)] = -0.0
+    return out
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_general_node_with_up_to_ten_hidden_parents(seed):
     rng = np.random.default_rng(seed)
     n0 = 14
     parents = sorted(rng.choice(n0, size=12, replace=False).tolist())
-    node = Stage1Node(parents, general(rng.random(1 << 12)))
-    model = DbnModel(n0, rng.random(n0), [node])
     x0 = tuple(rng.integers(0, 2, n0).tolist())
+    table = with_edge_values(rng, rng.random(1 << 12))
+    # The realized row holds -0.0, which a sum started at 0.0 would turn into 0.0.
+    table[sum(1 << k for k, j in enumerate(parents) if x0[j])] = -0.0
+    node = Stage1Node(parents, general(table))
+    model = DbnModel(n0, with_edge_values(rng, rng.random(n0)), [node])
     for h in range(11):
         # h of the node's parents plus one index outside them.
         chosen = rng.choice(parents, size=h, replace=False).tolist()
@@ -162,6 +181,50 @@ def test_general_node_with_up_to_ten_hidden_parents(seed):
         flipped = induced_posterior(model, x0, Mask(indices, "flip"))[0]
         shown = [x0[j] ^ (j in indices) for j in parents]
         assert flipped.hex() == transition_prob(node, shown).hex()
+
+
+def numpy_dp_hide(model, x0, hidden, node):
+    """An additive node's hide marginal through the numpy DP, as every miss once ran."""
+    hid = [j for j in node.parents if j in hidden]
+    obs_sum = sum([x0[j] for j in node.parents if j not in hidden])
+    if not hid:
+        return transition_prob(node, [x0[j] for j in node.parents])
+    pmf = poisson_binomial_pmf([model.priors[j] for j in hid])
+    return float(pmf @ node.transition.values_array[obs_sum : obs_sum + len(hid) + 1])
+
+
+def test_scalar_pmf_has_the_bits_of_the_numpy_dp():
+    rng = np.random.default_rng(0)
+    for h in range(1, _SCALAR_PMF_MAX + 3):
+        for share in (0.0, 0.3, 1.0):
+            priors = with_edge_values(rng, rng.random(h), share).tolist()
+            want = poisson_binomial_pmf(priors)
+            assert np.array(_scalar_pmf(priors)).tobytes() == want.tobytes(), (h, priors)
+
+
+def test_scalar_pmf_top_entry_of_a_negative_zero_prior_is_zero():
+    # The numpy DP adds the zero-filled entry's 0.0 * q to the new top entry,
+    # so the -0.0 that 1.0 * -0.0 gives there comes out as 0.0.
+    assert [v.hex() for v in _scalar_pmf([-0.0])] == ["0x1.0000000000000p+0", "0x0.0p+0"]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_additive_node_hide_keeps_the_bits_of_the_numpy_dp(seed):
+    rng = np.random.default_rng(seed)
+    npar = _SCALAR_PMF_MAX + 2
+    n0 = npar + 2
+    parents = sorted(rng.choice(n0, size=npar, replace=False).tolist())
+    x0 = tuple(rng.integers(0, 2, n0).tolist())
+    table = with_edge_values(rng, np.sort(rng.random(npar + 1)))
+    table[sum(x0[j] for j in parents)] = -0.0
+    node = Stage1Node(parents, additive(table))
+    model = DbnModel(n0, with_edge_values(rng, rng.random(n0)), [node])
+    outside = [j for j in range(n0) if j not in parents]
+    for h in [*range(8), _SCALAR_PMF_MAX - 1, _SCALAR_PMF_MAX, npar - 1, npar]:
+        chosen = rng.choice(parents, size=h, replace=False).tolist()
+        indices = sorted(chosen + outside[:1])
+        got = induced_posterior(model, x0, Mask(indices, "hide"))[0]
+        assert got.hex() == numpy_dp_hide(model, x0, set(indices), node).hex()
 
 
 def test_disagreement_examples():
@@ -296,6 +359,16 @@ def test_check_norm_keeps_integral_floats():
 def test_lkm_rejects_disagreement_outside_unit_interval(d, p):
     with pytest.raises(ValidationError) as err:
         lkm_distance(d, p)
+    assert err.value.code == "probability_out_of_range"
+
+
+@pytest.mark.parametrize(
+    "pmf,p",
+    [([0.5, math.nan], 2), ([-3.0, 2.5, 1.5], 2), ([math.nan], 1), ([0.0, 1.0 + 1e-12], INF)],
+)
+def test_lkm_from_counts_rejects_entries_outside_unit_interval(pmf, p):
+    with pytest.raises(ValidationError) as err:
+        lkm_from_counts(pmf, p)
     assert err.value.code == "probability_out_of_range"
 
 

@@ -4,6 +4,7 @@ Examples are derandomized by the profile in ``conftest.py``, so every run
 draws the same ones.
 """
 
+import json
 import math
 
 import numpy as np
@@ -30,6 +31,7 @@ from halftruth import (
     model_to_json,
     objective_value,
     solve,
+    validate_model,
 )
 from test_evaluator import from_scratch
 
@@ -179,3 +181,68 @@ def test_solvers_cache_nothing_on_the_problem_or_model(instance, k, p, action):
         assert vars(problem) == fields
         # Only the model's own tables; any memo dies with its evaluator.
         assert set(vars(model)) - cached <= {"node_table", "children"}
+
+
+# JSON nested two deep, with strings from the format's own words (st.text and
+# st.recursive each take seconds to set up).
+words = st.sampled_from(["", "x", "n0", "priors", "nodes", "parents", "transition", "kind",
+                         "values", "general", "additive", "linear", "NaN", "-0"])
+json_leaves = st.none() | st.booleans() | st.integers(-3, 8) | st.floats() | words
+json_inner = json_leaves | st.lists(json_leaves, max_size=3)
+json_values = json_inner | st.dictionaries(words, json_inner, max_size=3)
+# What replaces one part of a document.
+replacements = json_values | st.floats() | st.integers(-2, 6)
+# Edge values first, so -0.0 priors and table entries reach the scalar Poisson-binomial.
+probabilities = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def model_documents(draw):
+    """Model-file text: a model with at most one part replaced, or arbitrary JSON."""
+    if draw(st.integers(0, 9)) == 0:
+        return json.dumps(draw(json_values))
+    n0 = draw(st.integers(0, 5))
+    nodes = []
+    for _ in range(draw(st.integers(0, 3))):
+        parents = draw(st.lists(st.integers(0, n0 - 1), max_size=n0, unique=True)) if n0 else []
+        kind = draw(st.sampled_from(["general", "additive", "linear"]))
+        if kind == "linear":
+            coefficient = st.sampled_from([-0.0, 0.0]) | st.floats(0.0, 1.0 / max(1, len(parents)))
+            values = draw(st.lists(coefficient, min_size=len(parents), max_size=len(parents)))
+        else:
+            size = 1 << len(parents) if kind == "general" else len(parents) + 1
+            values = draw(st.lists(probabilities, min_size=size, max_size=size))
+        nodes.append({"parents": parents, "transition": {"kind": kind, "values": values}})
+    doc = {
+        "n0": n0,
+        "priors": draw(st.lists(probabilities, min_size=n0, max_size=n0)),
+        "nodes": nodes,
+    }
+    # Replace one part (or add a key) with any JSON value or any float.
+    parts = [(doc, key) for key in doc] + [(doc, draw(words))]
+    parts += [(doc["priors"], j) for j in range(n0)]
+    for i, node in enumerate(nodes):
+        transition = node["transition"]
+        parts += [(nodes, i), (node, "parents"), (transition, "kind"), (transition, "values")]
+        parts += [(node["parents"], k) for k in range(len(node["parents"]))]
+        parts += [(transition["values"], k) for k in range(len(transition["values"]))]
+    if draw(st.booleans()):
+        where, key = draw(st.sampled_from(parts))
+        where[key] = draw(replacements)
+    return json.dumps(doc)
+
+
+@settings(max_examples=300)
+@given(model_documents(), st.data())
+def test_model_documents_score_or_raise_validation_error(text, data):
+    try:
+        model = model_from_json(text)
+        validate_model(model)
+    except ValidationError:
+        return
+    x0 = data.draw(st.lists(st.integers(0, 1), min_size=model.n0, max_size=model.n0))
+    indices = data.draw(masks_of(model)) if model.n0 else []
+    for action in (HIDE, FLIP):
+        for p in (1, 2, math.inf):
+            value = objective_value(model, x0, Mask(indices, action), p)
+            assert not math.isnan(value)
