@@ -206,8 +206,7 @@ def gen_heuristic_adversarial(n: int, eps: float) -> DbnModel:
         raise ValidationError(
             "spec_invalid", f"need 0 < eps < 1 with eps*n/2 <= 1, got eps={eps}"
         )
-    ramp = additive([eps * z for z in range(half + 1)])
-    threshold = additive([0.0] * half + [1.0])
-    nodes = [Stage1Node(range(half), ramp)]
-    nodes += [Stage1Node(range(half, n), threshold) for _ in range(n - 1)]
-    return DbnModel(n, [1.0 - eps] * n, nodes)
+    ramp = Stage1Node(range(half), additive([eps * z for z in range(half + 1)]))
+    # The n - 1 jackpot nodes are identical; share one object, as gen_theorem1 does.
+    jackpot = Stage1Node(range(half, n), additive([0.0] * half + [1.0]))
+    return DbnModel(n, [1.0 - eps] * n, [ramp] + [jackpot] * (n - 1))

@@ -358,8 +358,15 @@ def additive_to_general(node: Stage1Node) -> Stage1Node:
 
 # --- JSON serialization -----------------------------------------------------
 #
-# {"n0": int, "priors": [float], "nodes": [{"parents": [int],
-#   "transition": {"kind": "...", "values": [float]}}]}
+# {"n0": int, "priors": [float], "nodes": [entry]}, each entry
+#   {"parents": [int], "transition": {"kind": "...", "values": [float]}}
+#
+# When two positions hold the same node (the same parents, kind and value
+# bits, see :func:`_entry_key`), the writer emits the compact form instead:
+# each distinct node once, in order of first position, and every position as
+# an index into that list.  The reader takes either form.
+#
+# {"n0": int, "priors": [float], "node_defs": [entry], "nodes": [int]}
 #
 # Floats are written with 17 significant digits so the round trip is exact and
 # the output is byte-stable across platforms.
@@ -369,22 +376,44 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _entry_key(parents, kind: str, values) -> tuple | None:
+    """What the reader shares node objects by: parents, kind and value bits.
+
+    None when a value is NaN, as such a node equals no other.  -0.0 and 0.0
+    have different bits, so they stay apart.
+    """
+    floats = np.array(values, dtype=float)
+    if np.isnan(floats).any():
+        return None
+    return tuple(parents), kind, floats.tobytes()
+
+
 def model_to_json(model: DbnModel) -> str:
+    """The model file text; the compact form when some entry serves several positions.
+
+    Node objects that the reader would load as one (see :func:`_entry_key`)
+    are written once, so the text read back writes the same text again.
+    """
     unique, slots = model.node_table
-    texts = [
-        '{"parents": [%s], "transition": {"kind": "%s", "values": [%s]}}'
-        % (
-            ", ".join(map(str, node.parents)),
-            node.transition.kind,
-            ", ".join(map(format_float, node.transition.values)),
-        )
-        for _, node in unique
-    ]
-    return '{"n0": %d, "priors": [%s], "nodes": [%s]}\n' % (
-        model.n0,
-        ", ".join(map(format_float, model.priors)),
-        ", ".join(map(texts.__getitem__, slots.tolist())),
-    )
+    def_of: dict[tuple, int] = {}
+    defs: list[str] = []
+    ref_of_slot: list[int] = []
+    for _, node in unique:
+        parents, t = node.parents, node.transition
+        key = _entry_key(parents, t.kind, t.values)
+        ref = len(defs) if key is None else def_of.setdefault(key, len(defs))
+        if ref == len(defs):
+            defs.append(
+                '{"parents": [%s], "transition": {"kind": "%s", "values": [%s]}}'
+                % (", ".join(map(str, parents)), t.kind, ", ".join(map(format_float, t.values)))
+            )
+        ref_of_slot.append(ref)
+    head = '{"n0": %d, "priors": [%s], ' % (model.n0, ", ".join(map(format_float, model.priors)))
+    if len(defs) < model.n1:
+        refs = ", ".join(map(str, map(ref_of_slot.__getitem__, slots.tolist())))
+        return head + '"node_defs": [%s], "nodes": [%s]}\n' % (", ".join(defs), refs)
+    # Every position its own entry: defs are listed by first position, so in position order.
+    return head + '"nodes": [%s]}\n' % ", ".join(defs)
 
 
 def _json_int(token: str):
@@ -439,21 +468,67 @@ def json_object(value, keys: AbstractSet[str], what: str, i: int | None = None) 
     return value
 
 
-_MODEL_KEYS = frozenset(("n0", "priors", "nodes"))
+_MODEL_KEYS = frozenset(("n0", "priors", "node_defs", "nodes"))
 _NODE_KEYS = frozenset(("parents", "transition"))
 _TRANSITION_KEYS = frozenset(("kind", "values"))
 
 
-def model_from_json(text: str) -> DbnModel:
-    """Read a model file, building one :class:`Stage1Node` per distinct entry.
+def _node_entry(entry, i: int, shared: dict[tuple, Stage1Node]) -> Stage1Node:
+    """One node entry as a :class:`Stage1Node`, its errors naming position ``i``.
 
-    Entries whose parents, kind and values convert to the same bits share one
-    node object, as constructed families do, so ``node_table`` and all work
-    keyed on it stay as small as the model's distinct nodes; -0.0 and 0.0 stay
-    apart and NaN never matches.  Every entry is type-checked by the JSON
-    type rules: ``n0`` and parents must be integers (1.0 is, ``true`` is not),
-    priors and values numbers, and each of them an array; anything else,
-    and a key the format does not have, is ``spec_invalid``.
+    An entry with the :func:`_entry_key` of one seen before returns that
+    entry's object from ``shared``.
+    """
+    json_object(entry, _NODE_KEYS, "node", i)
+    parents = json_array(entry["parents"], "integer", "parents", i)
+    transition = json_object(entry["transition"], _TRANSITION_KEYS, "transition", i)
+    kind = transition["kind"]
+    if kind not in KINDS:
+        raise ValidationError("kind_invalid", f"node {i}: unknown transition kind {kind!r}", node=i)
+    values = json_array(transition["values"], "number", "values", i)
+    key = _entry_key(parents, kind, values)
+    node = shared.get(key)
+    if node is None:
+        node = Stage1Node(parents, Transition(kind, values))
+        if key is not None:
+            shared[key] = node
+    return node
+
+
+def _compact_nodes(defs: list, refs: list[int]) -> list[Stage1Node]:
+    """The nodes of a compact file: position i holds ``defs[refs[i]]``.
+
+    Each def is read once, as the entry at the first position that refers to
+    it, in position order; so an error names the position the legacy text of
+    the same model would.  A def no position refers to would never be
+    checked, and is ``spec_invalid``.
+    """
+    first: dict[int, int] = {}
+    for i, r in enumerate(refs):
+        if not 0 <= r < len(defs):
+            raise _spec_error(f"node_defs index {r} out of range for {len(defs)} defs", i)
+        first.setdefault(r, i)
+    if len(first) < len(defs):
+        r = min(set(range(len(defs))) - first.keys())
+        raise _spec_error(f"node_defs[{r}] is not referenced by any node")
+    shared: dict[tuple, Stage1Node] = {}
+    built = {r: _node_entry(defs[r], i, shared) for r, i in first.items()}
+    return list(map(built.__getitem__, refs))
+
+
+def model_from_json(text: str) -> DbnModel:
+    """Read a model file in either form, building one :class:`Stage1Node` per distinct entry.
+
+    The compact form is the one with a ``node_defs`` key; its ``nodes`` are
+    integer indices into ``node_defs``, and the positions that hold one index
+    share its node object.  In both forms, entries whose parents, kind and
+    values convert to the same bits share one node object, as constructed
+    families do, so ``node_table`` and all work keyed on it stay as small as
+    the model's distinct nodes; -0.0 and 0.0 stay apart and NaN never matches.
+    Every entry is type-checked by the JSON type rules: ``n0``, parents and
+    indices must be integers (1.0 is, ``true`` is not), priors and values
+    numbers, and each of them an array; anything else, and a key the format
+    does not have, is ``spec_invalid``.
     """
     try:
         # The hook costs a Python call per integer; only a minus sign can need it.
@@ -461,27 +536,14 @@ def model_from_json(text: str) -> DbnModel:
         json_object(doc, _MODEL_KEYS, "model")
         n0 = json_value(doc["n0"], "integer", "model n0")
         priors = json_array(doc["priors"], "number", "model priors")
-        entries = json_array(doc["nodes"], "object", "model nodes")
-        shared: dict[tuple, Stage1Node] = {}
-        nodes = []
-        for i, entry in enumerate(entries):
-            json_object(entry, _NODE_KEYS, "node", i)
-            parents = json_array(entry["parents"], "integer", "parents", i)
-            transition = json_object(entry["transition"], _TRANSITION_KEYS, "transition", i)
-            kind = transition["kind"]
-            if kind not in KINDS:
-                raise ValidationError(
-                    "kind_invalid", f"node {i}: unknown transition kind {kind!r}", node=i
-                )
-            values = json_array(transition["values"], "number", "values", i)
-            floats = np.array(values, dtype=float)
-            key = (tuple(parents), kind, floats.tobytes())
-            node = shared.get(key)
-            if node is None:
-                node = Stage1Node(parents, Transition(kind, values))
-                if not np.isnan(floats).any():
-                    shared[key] = node
-            nodes.append(node)
+        if "node_defs" in doc:
+            defs = json_array(doc["node_defs"], "object", "model node_defs")
+            refs = json_array(doc["nodes"], "integer", "model nodes")
+            nodes = _compact_nodes(defs, list(map(int, refs)))
+        else:
+            entries = json_array(doc["nodes"], "object", "model nodes")
+            shared: dict[tuple, Stage1Node] = {}
+            nodes = [_node_entry(entry, i, shared) for i, entry in enumerate(entries)]
         return DbnModel(n0, priors, nodes)
     except ValidationError:
         raise

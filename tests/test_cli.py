@@ -21,6 +21,7 @@ from halftruth import (
 from halftruth import cli
 from halftruth.cli import _read_sweep, _sweep_budget, main
 from halftruth.generators import FAMILIES
+from test_model import legacy_text
 
 
 def run(capsys, *argv):
@@ -655,6 +656,23 @@ def test_simulate_reports_expectation(tmp_path, capsys):
     assert set(doc) == {"mean", "se", "trials", "wall_ms"}
     assert doc["trials"] == 50
     assert doc["mean"] > 0
+
+
+def test_theorem1_file_is_compact_and_simulates_as_its_legacy_text(tmp_path, capsys):
+    compact, legacy = tmp_path / "t1.json", tmp_path / "t1-legacy.json"
+    assert run(capsys, "gen", "--family", "theorem1", "--n", "800", "--out", str(compact))[0] == 0
+    assert compact.stat().st_size < 32 * 1024
+    legacy.write_text(legacy_text(load_model(compact)))
+    reports = []
+    for path in (compact, legacy):
+        code, out, err = run(
+            capsys, "simulate", "--model", str(path), "--algorithm", "oracle",
+            "--k", "800", "--p", "1", "--trials", "3", "--seed", "4",
+        )
+        assert code == 0, err
+        reports.append({key: json.loads(out)[key] for key in ("mean", "se", "trials")})
+    assert reports[0] == reports[1]
+    assert reports[0]["trials"] == 3
 
 
 # Flag values for the CLI fuzz, each list led by a valid one, then near misses.

@@ -171,6 +171,8 @@ def test_heuristic_adversarial_structure():
     for node in model.nodes[1:]:
         assert node.parents == tuple(range(5, 10))
         assert node.transition.values == (0.0,) * 5 + (1.0,)
+    # The jackpot nodes are one shared object, so per-node work runs twice, not n times.
+    assert len(model.node_table[0]) == 2
     assert model.priors == (0.99,) * 10
 
 

@@ -1,5 +1,6 @@
 """Model construction, validation, transitions, and JSON round trips."""
 
+import json
 import math
 
 import numpy as np
@@ -229,13 +230,24 @@ def test_validate_rejects_unknown_kind():
     assert err.value.code == "kind_invalid"
 
 
-def model_doc(n0="2", priors="[0.5, 0.5]", parents=("[0, 1]",), values=("[0.0, 0.5, 1.0]",)):
-    """A model file with one additive entry per (parents, values) pair."""
-    entries = ", ".join(
+def additive_entries(parents, values):
+    """One additive node entry per (parents, values) pair, comma-separated."""
+    return ", ".join(
         '{"parents": %s, "transition": {"kind": "additive", "values": %s}}' % pv
         for pv in zip(parents, values)
     )
+
+
+def model_doc(n0="2", priors="[0.5, 0.5]", parents=("[0, 1]",), values=("[0.0, 0.5, 1.0]",)):
+    """A model file with one additive entry per (parents, values) pair."""
+    entries = additive_entries(parents, values)
     return '{"n0": %s, "priors": %s, "nodes": [%s]}' % (n0, priors, entries)
+
+
+def compact_doc(nodes, parents=("[0, 1]", "[1]"), values=("[0.0, 0.5, 1.0]", "[0.5, 1.0]")):
+    """A compact model file: one additive def per (parents, values) pair, and ``nodes``."""
+    defs = additive_entries(parents, values)
+    return '{"n0": 2, "priors": [0.5, 0.5], "node_defs": [%s], "nodes": %s}' % (defs, nodes)
 
 
 def unshared(model):
@@ -243,6 +255,16 @@ def unshared(model):
     return DbnModel(
         model.n0, model.priors, [Stage1Node(n.parents, n.transition) for n in model.nodes]
     )
+
+
+def legacy_text(model):
+    """The model file in the legacy form, every position its own entry, written by ``json``."""
+    entries = [
+        {"parents": list(n.parents), "transition": {"kind": n.transition.kind,
+                                                    "values": list(n.transition.values)}}
+        for n in model.nodes
+    ]
+    return json.dumps({"n0": model.n0, "priors": list(model.priors), "nodes": entries})
 
 
 @pytest.mark.parametrize(
@@ -359,8 +381,110 @@ def test_json_round_trip_every_family(family):
     model = generate(spec)
     text = model_to_json(model)
     assert model_to_json(model_from_json(text)) == text
-    # Writing each distinct node once gives the bytes of writing every position.
+    # The writer lists nodes by their bits, whichever positions share an object.
     assert model_to_json(unshared(model)) == text
+    if family in ("theorem1", "heuristic_adversarial"):
+        # Repeated nodes: the compact form, which loads to the model of the legacy text.
+        assert '"node_defs"' in text
+        assert model_from_json(text) == model_from_json(legacy_text(model)) == model
+    else:
+        assert '"node_defs"' not in text
+
+
+def test_compact_form_loads_as_the_legacy_text():
+    # Two distinct nodes at five positions, one of them with a -0.0 entry.
+    a = Stage1Node((0, 2), general([-0.0, 0.25, 0.5, 1.0]))
+    b = Stage1Node((1,), linear([0.75]))
+    model = DbnModel(3, [0.1, 0.2, 0.3], [b, a, a, b, a])
+    text = model_to_json(model)
+    assert '"node_defs": [{"parents": [1], ' in text
+    assert text.endswith('"nodes": [0, 1, 1, 0, 1]}\n')
+    loaded = model_from_json(text)
+    assert loaded == model_from_json(legacy_text(model)) == model
+    assert model_to_json(unshared(model)) == text
+    assert len(loaded.node_table[0]) == 2
+    assert loaded.nodes[0] is loaded.nodes[3] and loaded.nodes[1] is loaded.nodes[4]
+    assert math.copysign(1.0, loaded.nodes[1].transition.values[0]) == -1.0
+
+
+def test_writer_lists_once_each_node_the_reader_would_share():
+    def node(*values):
+        return Stage1Node((0,), general(values))
+
+    # Equal bits share a def, -0.0 and 0.0 do not; a NaN node shares only by object.
+    shared_nan = node(math.nan, 0.5)
+    nodes = [node(0.0, 1.0), node(0.0, 1.0), node(-0.0, 1.0), node(math.nan, 0.5),
+             node(math.nan, 0.5), shared_nan, shared_nan]
+    text = model_to_json(DbnModel(1, [0.5], nodes))
+    assert text.endswith('"nodes": [0, 0, 1, 2, 3, 4, 4]}\n')
+    text = model_to_json(DbnModel(1, [0.5], nodes[:3]))
+    assert text.endswith('"nodes": [0, 0, 1]}\n')
+    assert model_to_json(model_from_json(text)) == text
+
+
+def test_compact_reader_keeps_integral_float_references():
+    model = model_from_json(compact_doc("[0, 1.0, -0, 1]"))
+    assert model == model_from_json(compact_doc("[0, 1, 0, 1]"))
+    assert model.nodes[0] is model.nodes[2] and model.nodes[1] is model.nodes[3]
+
+
+def test_compact_reader_rejects_an_unreferenced_def():
+    # The unreferenced def would load, and fail validation, if it were read.
+    text = compact_doc("[0, 0]", values=("[0.0, 0.5, 1.0]", "[0.5, 7.0]"))
+    with pytest.raises(ValidationError) as err:
+        model_from_json(text)
+    assert err.value.code == "spec_invalid"
+    assert "node_defs[1]" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "text,node",
+    [
+        (compact_doc("[0, 2, 1]"), 1),
+        (compact_doc("[0, -1, 1]"), 1),
+        (compact_doc("[0, true, 1]"), None),
+        (compact_doc("[0, 1.5, 1]"), None),
+        (compact_doc("[0, %s]" % additive_entries(["[1]"], ["[0.5, 1.0]"])), None),
+        (compact_doc("[[0], 1]"), None),
+        (compact_doc('"01"'), None),
+        # Indices without node_defs are not a model file.
+        ('{"n0": 1, "priors": [0.5], "nodes": [0, 0]}', None),
+        ('{"n0": 1, "priors": [0.5], "node_defs": {}, "nodes": []}', None),
+    ],
+    ids=[
+        "out_of_range",
+        "negative",
+        "bool",
+        "fractional",
+        "object_and_index",
+        "nested_index",
+        "string",
+        "indices_without_defs",
+        "defs_not_array",
+    ],
+)
+def test_compact_reader_rejects_nodes_that_are_not_all_indices(text, node):
+    with pytest.raises(ValidationError) as err:
+        model_from_json(text)
+    assert err.value.code == "spec_invalid"
+    assert err.value.node == node
+
+
+def test_validation_reports_first_position_of_a_shared_def():
+    model = model_from_json(compact_doc("[0, 1, 0, 1]", values=("[0.0, 0.5, 1.0]", "[0.5, 1.5]")))
+    assert model.nodes[1] is model.nodes[3]
+    with pytest.raises(ValidationError) as err:
+        validate_model(model)
+    assert err.value.code == "probability_out_of_range" and err.value.node == 1
+
+
+def test_compact_reader_errors_name_the_first_position_of_a_def():
+    # Def 0 has an unknown key, and position 1 is the first to refer to it.
+    text = compact_doc("[1, 0, 1, 0]").replace('{"parents": [0, 1]', '{"x": 0, "parents": [0, 1]')
+    with pytest.raises(ValidationError) as err:
+        model_from_json(text)
+    assert err.value.code == "spec_invalid" and err.value.node == 1
+    assert str(err.value).startswith("node 1: ")
 
 
 def test_monotone_direction_scan():

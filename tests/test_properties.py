@@ -198,7 +198,8 @@ probabilities = st.sampled_from([-0.0, 0.0, 1.0, 5e-324, 0.5]) | st.floats(0.0, 
 
 @st.composite
 def model_documents(draw):
-    """Model-file text: a model with at most one part replaced, or arbitrary JSON."""
+    """Model-file text, legacy or compact: a model with at most one part replaced
+    (a compact one may instead gain a def no index refers to), or arbitrary JSON."""
     if draw(st.integers(0, 9)) == 0:
         return json.dumps(draw(json_values))
     n0 = draw(st.integers(0, 5))
@@ -213,22 +214,33 @@ def model_documents(draw):
             size = 1 << len(parents) if kind == "general" else len(parents) + 1
             values = draw(st.lists(probabilities, min_size=size, max_size=size))
         nodes.append({"parents": parents, "transition": {"kind": kind, "values": values}})
-    doc = {
-        "n0": n0,
-        "priors": draw(st.lists(probabilities, min_size=n0, max_size=n0)),
-        "nodes": nodes,
-    }
+    doc = {"n0": n0, "priors": draw(st.lists(probabilities, min_size=n0, max_size=n0))}
+    compact = draw(st.booleans())
+    if compact:
+        # Every def referred to at least once, some more than once, in any order.
+        repeats = st.lists(st.integers(0, len(nodes) - 1), max_size=4) if nodes else st.just([])
+        refs = draw(st.permutations(list(range(len(nodes))) + draw(repeats)))
+        doc.update(node_defs=nodes, nodes=refs)
+    else:
+        doc.update(nodes=nodes)
     # Replace one part (or add a key) with any JSON value or any float.
     parts = [(doc, key) for key in doc] + [(doc, draw(words))]
     parts += [(doc["priors"], j) for j in range(n0)]
+    if compact:
+        parts += [(refs, k) for k in range(len(refs))]
     for i, node in enumerate(nodes):
         transition = node["transition"]
         parts += [(nodes, i), (node, "parents"), (transition, "kind"), (transition, "values")]
         parts += [(node["parents"], k) for k in range(len(node["parents"]))]
         parts += [(transition["values"], k) for k in range(len(transition["values"]))]
-    if draw(st.booleans()):
+    changes = ["none", "replace", "unreferenced"] if compact else ["none", "replace"]
+    change = draw(st.sampled_from(changes))
+    if change == "replace":
         where, key = draw(st.sampled_from(parts))
         where[key] = draw(replacements)
+    elif change == "unreferenced":
+        # A copy of a referred def, which would load and validate, or any JSON value.
+        nodes.append(draw(st.sampled_from(nodes) | json_values) if nodes else draw(json_values))
     return json.dumps(doc)
 
 

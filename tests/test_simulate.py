@@ -30,6 +30,7 @@ from halftruth import (
 )
 from halftruth.simulate import baseline_seed, derive_seed, realization_rng
 from oracles import random_model
+from test_model import legacy_text
 
 
 def two_indicator_model():
@@ -68,14 +69,15 @@ def test_expectation_reproducible_bit_exact():
 @pytest.mark.parametrize("n", [50, 200])
 def test_oracle_means_same_bits_on_loaded_model(n):
     generated = gen_theorem1(n)
-    loaded = model_from_json(model_to_json(generated))
+    compact = model_from_json(model_to_json(generated))
+    legacy = model_from_json(legacy_text(generated))
     means = [
         run_expectation(
             SimConfig(model=m, policy=oracle_policy, budget=n, p=1, trials=200, seed=n)
         ).mean
-        for m in (generated, loaded)
+        for m in (generated, compact, legacy)
     ]
-    assert means[0] == means[1]
+    assert means[0] == means[1] == means[2]
 
 
 def test_oracle_policy_refuses_flip():
