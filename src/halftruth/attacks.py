@@ -94,7 +94,7 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
 
     The objective is not monotone in the mask (hiding can reduce distance),
     so all sizes are tried, not just the full budget.  Masks are scored size
-    by size, in batches of ``BATCH_SIZE``; value ties go to the
+    by size, in index matrices of ``BATCH_SIZE`` rows; value ties go to the
     lexicographically smallest index tuple, whatever the scoring order.
     Refuses instances with more than ``BRUTE_FORCE_LIMIT`` candidate masks.
     """
@@ -108,11 +108,14 @@ def brute_force_attack(problem: AttackProblem) -> AttackResult:
     evaluate = problem.evaluator()
     best_set: tuple[int, ...] = ()
     best_value = evaluate(())
-    masks = chain.from_iterable(combinations(range(n0), m) for m in range(1, k + 1))
-    for block in _blocks(masks):
-        for cand, value in zip(block, evaluate.batch(block)):
-            if value > best_value or (value == best_value and cand < best_set):
-                best_value, best_set = value, cand
+    for m in range(1, k + 1):
+        masks = chain.from_iterable(combinations(range(n0), m))
+        # Each block an index matrix, one mask per row, straight from the iterator.
+        while (block := np.fromiter(islice(masks, BATCH_SIZE * m), np.intp)).size:
+            block = block.reshape(-1, m)
+            for cand, value in zip(map(tuple, block.tolist()), evaluate.batch(block)):
+                if value > best_value or (value == best_value and cand < best_set):
+                    best_value, best_set = value, cand
     return AttackResult(
         Mask(best_set, problem.action), best_value, "brute_force", evaluate.calls
     )
@@ -217,13 +220,13 @@ def _climb_step(
 ) -> tuple[float, tuple[int, ...]]:
     """Append to ``current`` the index of ``pool`` that scores highest with it.
 
-    Scores ``current`` plus each pool index not in it, in one batch with
-    ``current`` as the base; the first index of the highest value wins, so
-    ties go to the earlier pool index.  Returns the grown mask, sorted, with
-    its value if that beats the (value, mask) pair ``best``; else ``best``.
+    Scores ``current`` plus each pool index not in it, in one batch; the
+    first index of the highest value wins, so ties go to the earlier pool
+    index.  Returns the grown mask, sorted, with its value if that beats the
+    (value, mask) pair ``best``; else ``best``.
     """
     cands = [j for j in pool if j not in current]
-    values = evaluate.batch([current + [j] for j in cands], base=current)
+    values = evaluate.batch([current + [j] for j in cands])
     step_best = max(values)
     current.append(cands[values.index(step_best)])
     return (step_best, tuple(sorted(current))) if step_best > best[0] else best

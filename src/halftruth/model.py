@@ -17,6 +17,7 @@ All containers are immutable after construction; validation is explicit via
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import AbstractSet, Iterable, Sequence
@@ -145,18 +146,6 @@ class DbnModel:
                 unique.append((i, node))
             slots[i] = slot
         return tuple(unique), slots
-
-    @cached_property
-    def children(self) -> tuple[tuple[int, ...], ...]:
-        """For each stage-0 index, the ``node_table`` entries whose parents hold it.
-
-        Hiding or flipping index j can change only these nodes' marginals.
-        """
-        lists: list[list[int]] = [[] for _ in range(self.n0)]
-        for slot, (_, node) in enumerate(self.node_table[0]):
-            for j in node.parents:
-                lists[j].append(slot)
-        return tuple(map(tuple, lists))
 
 
 @dataclass(frozen=True)
@@ -388,20 +377,32 @@ def _entry_key(parents, kind: str, values) -> tuple | None:
     return tuple(parents), kind, floats.tobytes()
 
 
+def _check_finite(values: Sequence[float], what: str, i: int | None = None) -> None:
+    """``spec_invalid`` naming the first NaN or infinite entry: JSON has no such number."""
+    if not all(map(math.isfinite, values)):
+        j = next(j for j, v in enumerate(values) if not math.isfinite(v))
+        raise _spec_error(f"{what}[{j}] = {values[j]} cannot be written as JSON", i)
+
+
 def model_to_json(model: DbnModel) -> str:
     """The model file text; the compact form when some entry serves several positions.
 
     Node objects that the reader would load as one (see :func:`_entry_key`)
-    are written once, so the text read back writes the same text again.
+    are written once, so the text read back writes the same text again.  A
+    NaN or infinite prior or value is ``spec_invalid``: the reader could not
+    load it back.
     """
     unique, slots = model.node_table
+    _check_finite(model.priors, "priors")
+    for i, node in unique:
+        _check_finite(node.transition.values, "transition values", i)
     def_of: dict[tuple, int] = {}
     defs: list[str] = []
     ref_of_slot: list[int] = []
     for _, node in unique:
         parents, t = node.parents, node.transition
-        key = _entry_key(parents, t.kind, t.values)
-        ref = len(defs) if key is None else def_of.setdefault(key, len(defs))
+        # Never None: the values were checked finite above.
+        ref = def_of.setdefault(_entry_key(parents, t.kind, t.values), len(defs))
         if ref == len(defs):
             defs.append(
                 '{"parents": [%s], "transition": {"kind": "%s", "values": [%s]}}'
@@ -552,8 +553,10 @@ def model_from_json(text: str) -> DbnModel:
 
 
 def save_model(model: DbnModel, path) -> None:
+    """Write the model file; a model that cannot be written leaves ``path`` untouched."""
+    text = model_to_json(model)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(model_to_json(model))
+        fh.write(text)
 
 
 def read_text(path) -> str:

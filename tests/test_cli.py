@@ -152,6 +152,14 @@ def test_eval_matches_objective(tmp_path, capsys):
     assert json.loads(out)["value"] == pytest.approx(want)
 
 
+@pytest.mark.parametrize("mask", ["0,6", "2,-1", "3,3"])
+def test_eval_rejects_a_bad_mask_index(tmp_path, capsys, mask):
+    path = write_toy_model(tmp_path, capsys)
+    code, out, err = run(capsys, "eval", "--model", str(path), "--x0-seed", "4", "--mask", mask)
+    assert code == 2 and out == ""
+    assert "mask" in err
+
+
 def test_eval_empty_mask(tmp_path, capsys):
     path = write_toy_model(tmp_path, capsys)
     code, out, _ = run(capsys, "eval", "--model", str(path), "--x0-seed", "4", "--mask", "")

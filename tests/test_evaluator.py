@@ -1,8 +1,10 @@
-"""The batched, incremental evaluator against one-mask scoring from scratch.
+"""The block evaluator against one-mask scoring from scratch.
 
-``Evaluator.batch`` recomputes only the nodes a mask can change and runs one
-Poisson-binomial convolution for the whole batch; every score must still have
-the same bits as scoring that mask alone, so the comparisons use ``==``.
+``Evaluator.batch`` scores a block of masks as one 0/1 matrix: it reads each
+(mask, node) state key from one matrix product, computes each distinct state
+once, and runs one disagreement matrix for the whole block; every score must
+still have the same bits as scoring that mask alone, so the comparisons use
+``==``.
 """
 
 import math
@@ -24,6 +26,7 @@ from halftruth import (
     generate,
     induced_posterior,
     lkm_distance,
+    objective_value,
     true_posterior,
 )
 from halftruth.simulate import draw_realization, realization_rng
@@ -38,11 +41,21 @@ def _instance(family, monotone, seed):
     return model, draw_realization(model, realization_rng(seed))
 
 
-def _masks(rng, base):
-    """Random masks of sizes 0-5, then the base plus or minus each index."""
+def _masks(rng, around):
+    """Random masks of sizes 0-5, then ``around`` plus or minus each index."""
     masks = [sorted(rng.choice(N0, size=size, replace=False)) for size in range(6)]
-    masks += [sorted(set(base) ^ {j}) for j in range(N0)]
+    masks += [sorted(set(around) ^ {j}) for j in range(N0)]
     return [[int(j) for j in mask] for mask in masks]
+
+
+def distinct_states(model, masks):
+    """Every (slot, mask ∩ parents) state of ``masks``, the empty mask's included."""
+    unique = model.node_table[0]
+    return {
+        (s, frozenset(mask).intersection(node.parents))
+        for mask in [[], *masks]
+        for s, (_, node) in enumerate(unique)
+    }
 
 
 def from_scratch(model, x0, mask, p, action, target):
@@ -59,13 +72,13 @@ def test_batch_matches_single_calls_bit_for_bit(family, monotone, action):
         model, x0 = _instance(family, monotone, seed)
         rng = np.random.default_rng(seed)
         target = rng.random(model.n1)
-        base = [int(j) for j in rng.choice(N0, size=3, replace=False)]
-        masks = _masks(rng, base)
+        around = [int(j) for j in rng.choice(N0, size=3, replace=False)]
+        masks = _masks(rng, around)
         for p in NORMS:
             for tgt in (None, target):
                 evaluate = Evaluator(model, x0, p, action, tgt)
-                # Twice: once from the base, once from the empty mask.
-                batched = evaluate.batch(masks, base=base) + evaluate.batch(masks)
+                # Twice: once filling the memo, once reading every state from it.
+                batched = evaluate.batch(masks) + evaluate.batch(masks)
                 single = [Evaluator(model, x0, p, action, tgt)(mask) for mask in masks]
                 scratch = [from_scratch(model, x0, m, p, action, tgt) for m in masks]
                 assert batched == single + single
@@ -81,39 +94,24 @@ def test_chained_prefixes_match_single_calls():
     assert evaluate.batch(prefixes) == [Evaluator(model, x0, 2)(m) for m in prefixes]
 
 
-def test_children_lists_the_nodes_of_each_parent():
-    model, _ = _instance("random_additive", True, 0)
-    unique, _ = model.node_table
-    for j, slots in enumerate(model.children):
-        assert slots == tuple(s for s, (_, node) in enumerate(unique) if j in node.parents)
-
-
 def test_climb_step_recomputes_only_children():
     model, x0 = _instance("random_additive", True, 1)
-    children = model.children
+    unique = model.node_table[0]
     evaluate = Evaluator(model, x0, 2)
     # Construction computes every distinct node once: the empty mask.
-    assert evaluate.node_posteriors == len(model.node_table[0])
-    assert evaluate.node_reuses == 0
+    assert evaluate.node_posteriors == len(unique)
+    first = [[j] for j in range(N0)]
+    evaluate.batch(first)
+    # Each child of j sees the new state {j}: one computation per parent.
+    assert evaluate.node_posteriors == len(unique) + sum(len(n.parents) for _, n in unique)
+    assert evaluate.node_posteriors == len(distinct_states(model, first))
     before = evaluate.node_posteriors
-    evaluate.batch([[j] for j in range(N0)], base=[])
-    # Each child of j sees the new state {j}: all misses.
-    assert evaluate.node_posteriors - before == sum(len(c) for c in children)
-    assert evaluate.node_reuses == 0
-    # The next step moves the base by one index, then adds each other index.
-    before = evaluate.node_posteriors, evaluate.node_reuses
-    current = [5]
-    evaluate.batch([current + [j] for j in range(N0) if j != 5], base=current)
-    computed = evaluate.node_posteriors - before[0]
-    reused = evaluate.node_reuses - before[1]
-    # Every recomputed node is either computed or reused: the touched count.
-    step = sum(len(children[j]) for j in range(N0) if j != 5)
-    assert computed + reused == len(children[5]) + step
-    # Moving the base to [5] finds every child of 5 from the first step; a
-    # child of j sees a new state only when 5 is also among its parents.
-    fives = set(children[5])
-    assert computed == sum(len(fives.intersection(children[j])) for j in range(N0) if j != 5)
-    assert 0 < computed < reused
+    second = [[5, j] for j in range(N0) if j != 5]
+    evaluate.batch(second)
+    # Only a child of 5 sees a new state, {5, j}, one per other parent j.
+    fives = [n for _, n in unique if 5 in n.parents]
+    assert evaluate.node_posteriors - before == sum(len(n.parents) - 1 for n in fives)
+    assert evaluate.node_posteriors == len(distinct_states(model, first + second))
 
 
 def test_dense_parents_recompute_every_node():
@@ -128,43 +126,59 @@ def test_dense_parents_recompute_every_node():
     before = evaluate.node_posteriors
     assert evaluate.batch(masks) == [from_scratch(model, x0, m, 2, HIDE, None) for m in masks]
     assert evaluate.node_posteriors - before == 3 * model.n1
-    assert evaluate.node_reuses == 0
 
 
-def test_each_mask_starts_from_the_calls_base():
+def test_each_distinct_state_is_computed_once():
     model, x0 = _instance("random_additive", True, 3)
-    children, unique = model.children, model.node_table[0]
     chain = [4, 17, 9, 28, 0, 21]
     prefixes = [chain[: t + 1] for t in range(len(chain))]
     evaluate = Evaluator(model, x0, 2)
-    before = evaluate.node_posteriors
-    evaluate.batch(prefixes, base=[])
-    # No mask starts from an earlier mask of the batch: each recomputes the
-    # children of all its indices, not only of the index its prefix lacks.
-    touched = [set().union(*(children[j] for j in prefix)) for prefix in prefixes]
-    assert evaluate.node_posteriors - before + evaluate.node_reuses == sum(map(len, touched))
-    # The memo computes each (slot, mask ∩ parents) state once.
-    states = {
-        (s, frozenset(prefix).intersection(unique[s][1].parents))
-        for prefix, slots in zip(prefixes, touched)
-        for s in slots
-    }
-    assert evaluate.node_posteriors - before == len(states)
+    evaluate.batch(prefixes)
+    # Each (slot, mask ∩ parents) state once, whichever mask reaches it first.
+    assert evaluate.node_posteriors == len(distinct_states(model, prefixes))
+    evaluate.batch(prefixes[::-1])
+    assert evaluate.node_posteriors == len(distinct_states(model, prefixes))
 
 
 def test_no_mask_is_kept_between_calls():
     model, x0 = _instance("random_additive", True, 3)
-    children = model.children
     evaluate = Evaluator(model, x0, 2)
-    evaluate.batch([[4, 17, 9]], base=[4, 17, 9])
-    before = evaluate.node_posteriors + evaluate.node_reuses
+    evaluate.batch([[4, 17, 9]])
     masks = [[4, 17, 9], [4, 17, 9, 28], [0]]
     evaluate.batch(masks)
-    # Without a base, every mask starts from the empty mask, whatever the
-    # previous call's base was.
-    touched = sum(len(set().union(*(children[j] for j in mask))) for mask in masks)
-    assert touched == 21
-    assert evaluate.node_posteriors + evaluate.node_reuses - before == touched
+    # Only the memo's node values carry over: the second call computes the
+    # states the first did not reach, and the scores are those of fresh calls.
+    assert evaluate.node_posteriors == len(distinct_states(model, masks))
+    assert evaluate.batch(masks) == [Evaluator(model, x0, 2)(m) for m in masks]
+
+
+# Each block holds one bad index: negative, duplicate, >= n0, fractional, bool.
+BAD_MASKS = ([0, -1], [2, 2], [N0], [1.5], [True])
+
+
+@pytest.mark.parametrize("bad", BAD_MASKS)
+def test_block_rejects_bad_indices_as_a_mask_does(bad):
+    model, x0 = _instance("random_additive", True, 0)
+    evaluate = Evaluator(model, x0, 2)
+    for masks in ([[1], [3, 4], bad], np.array([bad])):
+        with pytest.raises(ValidationError) as err:
+            evaluate.batch(masks)
+        assert err.value.code == "mask_invalid"
+    with pytest.raises(ValidationError) as err:
+        objective_value(model, x0, Mask(bad, HIDE), 2)
+    assert err.value.code == "mask_invalid"
+    # A bad block scores nothing.
+    assert evaluate.calls == 0
+
+
+def test_block_takes_an_index_matrix_or_index_lists():
+    model, x0 = _instance("random_general", False, 1)
+    rows = np.array([[0, 5, 9], [1, 2, 3], [29, 4, 7]])
+    evaluate = Evaluator(model, x0, 3)
+    want = [Evaluator(model, x0, 3)(list(row)) for row in rows.tolist()]
+    assert evaluate.batch(rows) == want
+    assert evaluate.batch(rows.tolist()) == want
+    assert evaluate.batch(np.empty((0, 2), dtype=int)) == evaluate.batch([]) == []
 
 
 def test_evaluator_checks_its_action():

@@ -183,6 +183,104 @@ def test_general_node_with_up_to_ten_hidden_parents(seed):
         assert flipped.hex() == transition_prob(node, shown).hex()
 
 
+def block_posteriors(model, x0, masks, action):
+    """Each mask's node marginals through one evaluator block."""
+    return Evaluator(model, x0, 1, action).posteriors(masks)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_grouped_general_hide_keeps_the_bits_of_the_loop(seed):
+    rng = np.random.default_rng(seed)
+    n0 = 14
+    nodes = []
+    for npar in (3, 7, 12):
+        parents = sorted(rng.choice(n0, size=npar, replace=False).tolist())
+        nodes.append(Stage1Node(parents, general(with_edge_values(rng, rng.random(1 << npar)))))
+    # A table of -0.0 only: the loop's total starts at 0.0, so it gives 0.0.
+    nodes.append(Stage1Node([0, 1, 2], general([-0.0] * 8)))
+    model = DbnModel(n0, with_edge_values(rng, rng.random(n0)), nodes)
+    x0 = tuple(rng.integers(0, 2, n0).tolist())
+    # Masks of every size up to 10, several of each, in one block.
+    masks = [sorted(rng.choice(n0, size=h, replace=False).tolist()) for h in range(11)] * 3
+    got = block_posteriors(model, x0, masks, "hide")
+    for mask, row in zip(masks, got):
+        want = [nested_loop_hide(model, x0, set(mask), node) for node in nodes]
+        assert [v.hex() for v in row] == [v.hex() for v in want]
+        if {0, 1, 2} & set(mask):
+            assert row[-1].hex() == "0x0.0p+0"
+
+
+@pytest.mark.parametrize("action", ("hide", "flip"))
+@pytest.mark.parametrize("seed", range(3))
+def test_grouped_linear_keeps_the_bits_of_transition_prob(seed, action):
+    rng = np.random.default_rng(seed)
+    n0 = 30
+    nodes = []
+    for npar in (1, 4, 9, 25):
+        parents = sorted(rng.choice(n0, size=npar, replace=False).tolist())
+        coeffs = with_edge_values(rng, rng.random(npar) / npar)
+        nodes.append(Stage1Node(parents, linear(coeffs)))
+    model = DbnModel(n0, with_edge_values(rng, rng.random(n0)), nodes)
+    x0 = tuple(rng.integers(0, 2, n0).tolist())
+    masks = [sorted(rng.choice(n0, size=h, replace=False).tolist()) for h in range(0, 30, 3)]
+    got = block_posteriors(model, x0, masks, action)
+    for mask, row in zip(masks, got):
+        if action == "hide":
+            shown = [[model.priors[j] if j in mask else x0[j] for j in n.parents] for n in nodes]
+        else:
+            shown = [[x0[j] ^ (j in mask) for j in n.parents] for n in nodes]
+        want = [transition_prob(n, s) for n, s in zip(nodes, shown)]
+        assert [v.hex() for v in row] == [v.hex() for v in want]
+
+
+def test_block_names_the_node_past_the_parent_cap():
+    # Position 1 holds a general node with 22 parents (the model is not
+    # validated); hiding 21 of them is past the enumeration cap.
+    small = Stage1Node([0, 1], general([0.1, 0.2, 0.3, 0.4]))
+    wide = Stage1Node(range(22), general([0.5, 0.5]))
+    model = DbnModel(23, [0.5] * 23, [small, wide, wide])
+    x0 = [0] * 23
+    for masks in ([list(range(21))], [[22], [0, 22], list(range(21))]):
+        with pytest.raises(ValidationError) as err:
+            Evaluator(model, x0, 1).batch(masks)
+        assert err.value.code == "parent_cap_exceeded" and err.value.node == 1
+    with pytest.raises(ValidationError) as err:
+        objective_value(model, x0, Mask(range(21), "hide"), 2)
+    assert err.value.code == "parent_cap_exceeded" and err.value.node == 1
+
+
+def test_matrix_reductions_keep_the_bits_of_row_reductions():
+    # p=1 and p=inf reduce the whole disagreement matrix along its rows; for a
+    # C-contiguous matrix numpy sums and multiplies each row as it does alone.
+    rng = np.random.default_rng(0)
+    for n1 in [*range(1, 40), 63, 64, 65, 127, 128, 129, 255, 256, 257, 500, 800]:
+        for count in (1, 2, 7, 64, 256):
+            d = with_edge_values(rng, rng.random(count * n1), 0.1).reshape(count, n1)
+            assert d.flags.c_contiguous
+            assert d.sum(axis=1).tobytes() == np.array([row.sum() for row in d]).tobytes()
+            prods = np.prod(1.0 - d, axis=1)
+            assert prods.tobytes() == np.array([np.prod(1.0 - row) for row in d]).tobytes()
+
+
+def test_evaluator_reduces_a_c_contiguous_disagreement_matrix(monkeypatch):
+    from halftruth import inference
+
+    seen = []
+    distances = inference._distances
+
+    def spy(d, p):
+        seen.append(d.flags.c_contiguous)
+        return distances(d, p)
+
+    monkeypatch.setattr(inference, "_distances", spy)
+    # Two positions share one node object, so the slot gather is not the identity.
+    node = Stage1Node([0, 1], additive([0.1, 0.5, 0.9]))
+    model = DbnModel(3, [0.3, 0.6, 0.2], [node, Stage1Node([2], linear([0.7])), node])
+    for p in (1, 2, INF):
+        Evaluator(model, [1, 0, 1], p).batch([[0], [1, 2], [], [0, 1, 2]])
+    assert seen == [True] * 3
+
+
 def numpy_dp_hide(model, x0, hidden, node):
     """An additive node's hide marginal through the numpy DP, as every miss once ran."""
     hid = [j for j in node.parents if j in hidden]

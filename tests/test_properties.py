@@ -141,8 +141,7 @@ def test_model_json_round_trip_is_exact(model):
 def test_batch_equals_one_at_a_time_calls(instance, p, action, data):
     model, x0, target = instance
     masks = data.draw(st.lists(masks_of(model), min_size=1, max_size=8))
-    base = data.draw(masks_of(model))
-    batched = Evaluator(model, x0, p, action, target).batch(masks, base=base)
+    batched = Evaluator(model, x0, p, action, target).batch(masks)
     single = Evaluator(model, x0, p, action, target)
     assert batched == [single(mask) for mask in masks]
 
@@ -160,9 +159,8 @@ def test_long_batch_runs_score_the_bits_of_scoring_from_scratch(family, action, 
     p = data.draw(st.sampled_from(NORMS))
     evaluate = Evaluator(model, x0, p, action, target)
     for _ in range(data.draw(st.integers(4, 10))):
-        base = data.draw(st.none() | masks_of(model))
         masks = data.draw(st.lists(masks_of(model), min_size=1, max_size=8))
-        got = evaluate.batch(masks, base=base)
+        got = evaluate.batch(masks)
         want = [from_scratch(model, x0, mask, p, action, target) for mask in masks]
         assert [v.hex() for v in got] == [v.hex() for v in want]
 
@@ -180,7 +178,7 @@ def test_solvers_cache_nothing_on_the_problem_or_model(instance, k, p, action):
             continue
         assert vars(problem) == fields
         # Only the model's own tables; any memo dies with its evaluator.
-        assert set(vars(model)) - cached <= {"node_table", "children"}
+        assert set(vars(model)) - cached <= {"node_table"}
 
 
 # JSON nested two deep, with strings from the format's own words (st.text and
